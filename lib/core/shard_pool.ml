@@ -318,9 +318,10 @@ type shard = {
   hand : Mutex.t; (* guards the worker<->supervisor job handoff *)
   mutable pending : msg list; (* claimed batch not yet started; under [hand] *)
   mutable current : msg option; (* message being executed; under [hand] *)
-  mutable deferred : (unit -> unit) list;
+  mutable deferred : ((unit, error) result -> unit) list;
       (* completions parked until the next durability point (the idle
-         hook); newest first, under [hand] *)
+         hook), told whether it made their work durable; newest first,
+         under [hand] *)
   heartbeat : int Atomic.t; (* batches + jobs, monotone *)
   busy_since : float Atomic.t; (* Clock ns; 0. when idle *)
   restarts : int Atomic.t;
@@ -449,8 +450,9 @@ let discard_at_stop (t : t) = function
 (* --- durability-deferred completions ----------------------------------------
    A job that wants its waiter released only once its commits are sealed
    parks the release here; the worker runs the parked list right after the
-   idle hook (the seal), and on its way out of the loop so no waiter can
-   hang across a stop or a crash-restart. *)
+   idle hook (the seal) with its outcome, and on its way out of the loop
+   with the error that ended it, so no waiter can hang across a stop or a
+   crash-restart and none is told its work is durable when no seal ran. *)
 
 let defer_on sh f =
   Mutex.protect sh.hand (fun () -> sh.deferred <- f :: sh.deferred)
@@ -463,7 +465,7 @@ let take_deferred sh =
         sh.deferred <- [];
         List.rev l)
 
-let run_deferred fs = List.iter (fun f -> try f () with _ -> ()) fs
+let run_deferred sealed fs = List.iter (fun f -> try f sealed with _ -> ()) fs
 
 (* Park [f] until the owning shard's next durability point; [false] means
    the pool has no idle hook (or runs inline), so the caller completes
@@ -813,13 +815,13 @@ let ingest ?flush_max ?(wait = false) t events =
                   batch_submit b idx
                     ~run:(fun sys ->
                       let r = System.ingest sys sub in
-                      let fin () =
+                      let fin sealed =
                         Ivar.fill iv
                           (match r with
-                          | Ok _ -> Ok ()
+                          | Ok _ -> sealed
                           | Error _ -> Error (Degraded idx))
                       in
-                      if not (defer_durable t idx fin) then fin ();
+                      if not (defer_durable t idx fin) then fin (Ok ());
                       match r with Ok _ -> () | Error e -> raise e)
                     ~abort:(Some (fun e -> Ivar.fill iv (Error e)))
                 in
@@ -1043,12 +1045,18 @@ let worker t sh ~gen ready =
                 loaded shard must not pay a durability point mid-run *)
              match Mpsc.take_now sh.inbox with
              | [] ->
-               (match t.on_idle with
-               | Some f -> ( try f sh.idx sys with e -> note_failure t sh e)
-               | None -> ());
-               (* the seal above made everything committed so far durable:
-                  release the waiters parked on this durability point *)
-               run_deferred (take_deferred sh);
+               let sealed =
+                 match t.on_idle with
+                 | Some f -> (
+                   try Ok (f sh.idx sys)
+                   with e ->
+                     note_failure t sh e;
+                     Error (Degraded sh.idx))
+                 | None -> Ok ()
+               in
+               (* the seal above made everything committed so far durable,
+                  or failed to: release the waiters parked on it *)
+               run_deferred sealed (take_deferred sh);
                Mpsc.take sh.inbox ~cancelled:stale
              | b -> b
            in
@@ -1098,11 +1106,11 @@ let worker t sh ~gen ready =
       List.iter (discard_at_stop t) leftovers;
       List.iter (discard_at_stop t) (Mpsc.take_now sh.inbox);
       (* no seal is coming: release parked waiters rather than hang them *)
-      run_deferred (take_deferred sh);
+      run_deferred (Error Stopped) (take_deferred sh);
       Mutex.protect sh.hand (fun () ->
           if not (stale ()) then Atomic.set sh.alive false)
     | `Died ->
-      run_deferred (take_deferred sh);
+      run_deferred (Error (Degraded sh.idx)) (take_deferred sh);
       Mutex.protect sh.hand (fun () ->
           if not (stale ()) then Atomic.set sh.alive false)
     | `Abandoned -> ())

@@ -190,7 +190,8 @@ val create :
     commit group, while under sustained load the whole backlog drained
     between two idle points shares one seal (and one fsync).  The hook
     must not post jobs; exceptions it raises are recorded as shard
-    failures and the worker keeps running.  Ignored at [shards:1] (inline
+    failures and the worker keeps running, and the [~wait:true] ingests
+    parked on that seal get [Error (Degraded shard)].  Ignored at [shards:1] (inline
     execution has no mailbox, so the caller owns its durability points).
 
     [failure_log_limit] (default 128) bounds the pool-wide failure ring;
@@ -307,7 +308,9 @@ val ingest :
     [Error (Degraded shard)] instead of a silent contained failure.  On a
     pool with an [on_idle] durability hook the wait extends through the
     owning shard's next idle seal — so with a [~group_commit] journal
-    sealed from the hook, [Ok ()] means {e durable}, and concurrent
+    sealed from the hook, [Ok ()] means {e durable} (a seal that raises
+    answers [Error (Degraded shard)], a stop before the seal
+    [Error Stopped]), and concurrent
     waiting ingests that pile onto one shard share a single seal (and one
     fsync): shard-level group commit.  The network server acks [Send_many]
     through this path. *)

@@ -8,34 +8,23 @@ open Import
          | per(e,<dt>,<limit-or-dash>,e) | plus(e,<dt>)
    Names are %XX-escaped so that [,()] never appear raw. *)
 
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | '.' ->
-        Buffer.add_char buf c
-      | _ -> Buffer.add_string buf (Printf.sprintf "%%%02X" (Char.code c)))
-    s;
-  Buffer.contents buf
+let name_chars =
+  Oodb.Persist.charset (function
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | '.' -> true
+    | _ -> false)
 
-let unescape t =
-  let buf = Buffer.create (String.length t) in
-  let i = ref 0 in
-  let m = String.length t in
-  while !i < m do
-    if t.[!i] = '%' && !i + 2 < m then begin
-      (match int_of_string_opt ("0x" ^ String.sub t (!i + 1) 2) with
-      | Some code -> Buffer.add_char buf (Char.chr code)
-      | None -> raise (Errors.Parse_error ("bad escape in " ^ t)));
-      i := !i + 3
-    end
-    else begin
-      Buffer.add_char buf t.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents buf
+let escape s = Oodb.Persist.escape_with name_chars s
+let add_escaped buf s = Oodb.Persist.add_escaped name_chars buf s
+let unescape t = Oodb.Persist.unescape_sub t 0 (String.length t)
+
+(* Values inside a codec field: their Persist encodings, escaped again so
+   the field separators never appear raw. *)
+let add_params buf params =
+  List.iteri
+    (fun i v ->
+      if i > 0 then Buffer.add_char buf ';';
+      add_escaped buf (Oodb.Persist.encode_value v))
+    params
 
 let rec encode (e : Expr.t) =
   match e with
@@ -231,15 +220,25 @@ let decode input =
      occ  ::= occ(<mod>,<cls>,<meth>,<oid>,<at>,<param>;<param>...)
      inst ::= inst(<t_start>,<t_end>,<occ>|<occ>...)                        *)
 
-let encode_occurrence (o : Occurrence.t) =
-  let params =
-    List.map (fun v -> escape (Oodb.Persist.encode_value v)) o.params
-    |> String.concat ";"
-  in
-  Printf.sprintf "occ(%s,%s,%s,%d,%d,%s)"
-    (Occurrence.modifier_to_string o.modifier)
-    (escape o.source_class) (escape o.meth)
-    (Oid.to_int o.source) o.at params
+let add_occurrence buf (o : Occurrence.t) =
+  Buffer.add_string buf "occ(";
+  Buffer.add_string buf (Occurrence.modifier_to_string o.modifier);
+  Buffer.add_char buf ',';
+  add_escaped buf o.source_class;
+  Buffer.add_char buf ',';
+  add_escaped buf o.meth;
+  Buffer.add_char buf ',';
+  Oodb.Persist.add_int buf (Oid.to_int o.source);
+  Buffer.add_char buf ',';
+  Oodb.Persist.add_int buf o.at;
+  Buffer.add_char buf ',';
+  add_params buf o.params;
+  Buffer.add_char buf ')'
+
+let encode_occurrence o =
+  let buf = Buffer.create 64 in
+  add_occurrence buf o;
+  Buffer.contents buf
 
 let occ_error input msg =
   raise (Errors.Parse_error (Printf.sprintf "occurrence %S: %s" input msg))
@@ -280,41 +279,79 @@ let decode_occurrence input =
      ev ::= ev(<oid>,<meth>,<param>;<param>...)                              *)
 
 let encode_event ((oid, meth, params) : Oid.t * string * Oodb.Value.t list) =
-  let params =
-    List.map (fun v -> escape (Oodb.Persist.encode_value v)) params
-    |> String.concat ";"
-  in
-  Printf.sprintf "ev(%d,%s,%s)" (Oid.to_int oid) (escape meth) params
+  let buf = Buffer.create 48 in
+  Buffer.add_string buf "ev(";
+  Oodb.Persist.add_int buf (Oid.to_int oid);
+  Buffer.add_char buf ',';
+  add_escaped buf meth;
+  Buffer.add_char buf ',';
+  add_params buf params;
+  Buffer.add_char buf ')';
+  Buffer.contents buf
 
+(* The first [c] in [s] from [pos] on, or [stop] when none comes before
+   it. *)
+let find s c pos stop =
+  let i = ref pos in
+  while !i < stop && String.unsafe_get s !i <> c do
+    incr i
+  done;
+  !i
+
+let event_error input msg =
+  raise (Errors.Parse_error (Printf.sprintf "event %S: %s" input msg))
+
+let event_field input pos len =
+  try Oodb.Persist.unescape_sub input pos len
+  with Errors.Parse_error msg -> event_error input msg
+
+let rec event_params input pos stop acc =
+  let sep = find input ';' pos stop in
+  let acc =
+    Oodb.Persist.decode_value (event_field input pos (sep - pos)) :: acc
+  in
+  if sep = stop then List.rev acc else event_params input (sep + 1) stop acc
+
+(* One pass over the string: the field separators are found in place and
+   each field is decoded from its slice. *)
 let decode_event input =
-  let fail msg =
-    raise (Errors.Parse_error (Printf.sprintf "event %S: %s" input msg))
-  in
   let n = String.length input in
-  let inner =
-    if n >= 4 && String.sub input 0 3 = "ev(" && input.[n - 1] = ')' then
-      String.sub input 3 (n - 4)
-    else fail "missing ev(...) frame"
+  if
+    not
+      (n >= 4 && String.starts_with ~prefix:"ev(" input && input.[n - 1] = ')')
+  then event_error input "missing ev(...) frame";
+  let stop = n - 1 in
+  let c1 = find input ',' 3 stop in
+  let c2 = if c1 = stop then stop else find input ',' (c1 + 1) stop in
+  if c2 = stop || find input ',' (c2 + 1) stop <> stop then
+    event_error input "expected 3 fields";
+  let oid =
+    match Oodb.Persist.int_sub input 3 (c1 - 3) with
+    | Some v -> Oid.of_int v
+    | None ->
+      event_error input
+        (Printf.sprintf "bad oid: %S" (String.sub input 3 (c1 - 3)))
   in
-  match String.split_on_char ',' inner with
-  | [ oid_s; meth; params ] ->
-    let oid =
-      match int_of_string_opt oid_s with
-      | Some v -> Oid.of_int v
-      | None -> fail (Printf.sprintf "bad oid: %S" oid_s)
-    in
-    let params =
-      if params = "" then []
-      else
-        String.split_on_char ';' params
-        |> List.map (fun p -> Oodb.Persist.decode_value (unescape p))
-    in
-    (oid, unescape meth, params)
-  | _ -> fail "expected 3 fields"
+  let meth = event_field input (c1 + 1) (c2 - c1 - 1) in
+  let params =
+    if c2 + 1 = stop then [] else event_params input (c2 + 1) stop []
+  in
+  (oid, meth, params)
 
 let encode_instance (i : Detector.instance) =
-  Printf.sprintf "inst(%d,%d,%s)" i.t_start i.t_end
-    (String.concat "|" (List.map encode_occurrence i.constituents))
+  let buf = Buffer.create 128 in
+  Buffer.add_string buf "inst(";
+  Oodb.Persist.add_int buf i.t_start;
+  Buffer.add_char buf ',';
+  Oodb.Persist.add_int buf i.t_end;
+  Buffer.add_char buf ',';
+  List.iteri
+    (fun k o ->
+      if k > 0 then Buffer.add_char buf '|';
+      add_occurrence buf o)
+    i.constituents;
+  Buffer.add_char buf ')';
+  Buffer.contents buf
 
 let decode_instance input =
   let fail msg =

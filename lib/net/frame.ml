@@ -57,54 +57,59 @@ let tag = function
 
 (* --- payload primitives ----------------------------------------------------
 
-   Big-endian fixed-width integers and u32-length-prefixed strings over a
-   Buffer (writing) / string+cursor (reading).  Ints travel as i64 (OCaml
-   ints are 63-bit, so every int fits); short counts as u32. *)
+   Big-endian fixed-width integers and u32-length-prefixed strings, written
+   into a frame buffer sized up front and read through a cursor over the
+   received bytes.  Ints travel as i64 (OCaml ints are 63-bit, so every int
+   fits); short counts as u32. *)
 
-let put_u32 buf v =
+type writer = { b : Bytes.t; mutable at : int }
+
+let put_u32 w v =
   if v < 0 || v > 0xFFFF_FFFF then frame_error "u32 out of range: %d" v;
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char buf (Char.chr (v land 0xFF))
+  Bytes.set_int32_be w.b w.at (Int32.of_int v);
+  w.at <- w.at + 4
 
-let put_i64 buf v =
-  let v64 = Int64.of_int v in
-  for i = 7 downto 0 do
-    Buffer.add_char buf
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v64 (i * 8)) 0xFFL)))
-  done
+let put_i64 w v =
+  Bytes.set_int64_be w.b w.at (Int64.of_int v);
+  w.at <- w.at + 8
 
-let put_str buf s =
-  put_u32 buf (String.length s);
-  Buffer.add_string buf s
+let put_str w s =
+  let n = String.length s in
+  put_u32 w n;
+  Bytes.blit_string s 0 w.b w.at n;
+  w.at <- w.at + n
 
-let put_list buf put items =
-  put_u32 buf (List.length items);
-  List.iter (put buf) items
+let put_list w put items =
+  put_u32 w (List.length items);
+  List.iter (put w) items
 
-type cursor = { data : string; mutable pos : int }
+let str_size s = 4 + String.length s
+let list_size size items = List.fold_left (fun n x -> n + size x) 4 items
+
+(* [first] is where the payload starts in [data], [stop] where it ends. *)
+type cursor = { data : string; mutable pos : int; first : int; stop : int }
 
 let need cur n =
-  if cur.pos + n > String.length cur.data then
-    frame_error "payload truncated at byte %d (need %d more)" cur.pos n
+  if cur.pos + n > cur.stop then
+    frame_error "payload truncated at byte %d (need %d more)"
+      (cur.pos - cur.first) n
+
+let byte cur i = Char.code (String.unsafe_get cur.data (cur.pos + i))
 
 let get_u32 cur =
   need cur 4;
-  let b i = Char.code cur.data.[cur.pos + i] in
-  let v = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
+  let v =
+    (byte cur 0 lsl 24) lor (byte cur 1 lsl 16) lor (byte cur 2 lsl 8)
+    lor byte cur 3
+  in
   cur.pos <- cur.pos + 4;
   v
 
 let get_i64 cur =
   need cur 8;
-  let v = ref 0L in
-  for i = 0 to 7 do
-    v := Int64.logor (Int64.shift_left !v 8)
-           (Int64.of_int (Char.code cur.data.[cur.pos + i]))
-  done;
+  let v = Int64.to_int (String.get_int64_be cur.data cur.pos) in
   cur.pos <- cur.pos + 8;
-  Int64.to_int !v
+  v
 
 let get_str cur =
   let len = get_u32 cur in
@@ -116,11 +121,30 @@ let get_str cur =
 let get_list cur get =
   let n = get_u32 cur in
   (* cheap bomb guard: every element costs at least one length byte *)
-  if n > String.length cur.data - cur.pos then
+  if n > cur.stop - cur.pos then
     frame_error "list count %d exceeds remaining payload" n;
   List.init n (fun _ -> get cur)
 
 (* --- message payloads ------------------------------------------------------ *)
+
+let payload_size = function
+  | Hello { client; _ } -> 4 + str_size client
+  | Send_many { events; _ } -> 8 + list_size str_size events
+  | Subscribe { name; classes; expr } ->
+    str_size name + list_size str_size classes + str_size expr
+  | Unsubscribe _ | Ack _ | Sub_ack _ | Query_done _ -> 4
+  | Query { cls; pred } -> str_size cls + str_size pred
+  | Drain | Stats_req | Drain_done -> 0
+  | Ping _ | Pong _ | Hello_ack _ -> 8
+  | Notify { instances; _ } -> 4 + list_size str_size instances
+  | Rows { rows } ->
+    list_size
+      (fun (_, cls, attrs) ->
+        8 + str_size cls
+        + list_size (fun (name, v) -> str_size name + str_size v) attrs)
+      rows
+  | Stats { text } -> str_size text
+  | Err { msg; _ } -> 4 + str_size msg
 
 let encode_payload buf = function
   | Hello { version; client } ->
@@ -224,30 +248,30 @@ let decode_payload tag_v cur =
 
 (* --- framing --------------------------------------------------------------- *)
 
-let crc32 s = Int32.to_int (Oodb.Storage.Crc32.string s) land 0xFFFF_FFFF
-
+(* Header and payload share one buffer sized up front; the CRC is taken
+   over the payload where it lies. *)
 let encode ?(version = version) msg =
-  let payload = Buffer.create 64 in
-  encode_payload payload msg;
-  let payload = Buffer.contents payload in
-  if String.length payload > max_payload then
-    frame_error "payload %d bytes exceeds max %d" (String.length payload)
-      max_payload;
-  let buf = Buffer.create (header_len + String.length payload) in
-  Buffer.add_string buf magic;
-  Buffer.add_char buf (Char.chr (version land 0xFF));
-  Buffer.add_char buf (Char.chr (tag msg));
-  Buffer.add_char buf '\000';
-  Buffer.add_char buf '\000';
-  put_u32 buf (String.length payload);
-  put_u32 buf (crc32 payload);
-  Buffer.add_string buf payload;
-  Buffer.contents buf
+  let len = payload_size msg in
+  if len > max_payload then
+    frame_error "payload %d bytes exceeds max %d" len max_payload;
+  let b = Bytes.create (header_len + len) in
+  encode_payload { b; at = header_len } msg;
+  let crc =
+    Oodb.Storage.Crc32.update 0 (Bytes.unsafe_to_string b) header_len len
+  in
+  Bytes.blit_string magic 0 b 0 4;
+  Bytes.set b 4 (Char.chr (version land 0xFF));
+  Bytes.set b 5 (Char.chr (tag msg));
+  Bytes.set b 6 '\000';
+  Bytes.set b 7 '\000';
+  Bytes.set_int32_be b 8 (Int32.of_int len);
+  Bytes.set_int32_be b 12 (Int32.of_int crc);
+  Bytes.unsafe_to_string b
 
 (* Parse the 16-byte header; returns (version, tag, payload_len, crc). *)
 let parse_header h =
   if String.length h < header_len then frame_error "header truncated";
-  if String.sub h 0 4 <> magic then
+  if not (String.starts_with ~prefix:magic h) then
     frame_error "bad magic %S" (String.sub h 0 4);
   let v = Char.code h.[4] in
   let tag_v = Char.code h.[5] in
@@ -259,13 +283,15 @@ let parse_header h =
   if v <> version then raise (Version_mismatch v);
   (v, tag_v, len, crc)
 
-let decode_body tag_v payload crc =
-  if crc32 payload <> crc then frame_error "CRC mismatch";
-  let cur = { data = payload; pos = 0 } in
+(* The payload is the [first, stop) slice of [data]: checked and decoded in
+   place. *)
+let decode_body tag_v data first stop crc =
+  if Oodb.Storage.Crc32.update 0 data first (stop - first) <> crc then
+    frame_error "CRC mismatch";
+  let cur = { data; pos = first; first; stop } in
   let msg = decode_payload tag_v cur in
-  if cur.pos <> String.length payload then
-    frame_error "trailing payload bytes (%d unread)"
-      (String.length payload - cur.pos);
+  if cur.pos <> stop then
+    frame_error "trailing payload bytes (%d unread)" (stop - cur.pos);
   msg
 
 let decode s =
@@ -273,7 +299,7 @@ let decode s =
   if String.length s <> header_len + len then
     frame_error "frame length %d, header promises %d" (String.length s)
       (header_len + len);
-  decode_body tag_v (String.sub s header_len len) crc
+  decode_body tag_v s header_len (String.length s) crc
 
 (* --- blocking stream I/O --------------------------------------------------- *)
 
@@ -286,9 +312,12 @@ let rec write_all fd b pos len =
     write_all fd b (pos + n) (len - n)
   end
 
+let write_encoded fd s =
+  write_all fd (Bytes.unsafe_of_string s) 0 (String.length s)
+
 let write_fd fd ?version msg =
   let s = encode ?version msg in
-  write_all fd (Bytes.unsafe_of_string s) 0 (String.length s);
+  write_encoded fd s;
   String.length s
 
 (* Read exactly [len] bytes; End_of_file on a peer close. *)
@@ -306,4 +335,4 @@ let read_fd fd =
   let header = read_exact fd header_len in
   let _, tag_v, len, crc = parse_header header in
   let payload = if len = 0 then "" else read_exact fd len in
-  (decode_body tag_v payload crc, header_len + len)
+  (decode_body tag_v payload 0 len crc, header_len + len)

@@ -117,6 +117,9 @@ val decode : string -> t
 val write_fd : Unix.file_descr -> ?version:int -> t -> int
 (** Write one frame; returns the bytes written. *)
 
+val write_encoded : Unix.file_descr -> string -> unit
+(** Write a frame {!encode} produced, e.g. to send the same bytes again. *)
+
 val read_fd : Unix.file_descr -> t * int
 (** Read one frame; returns it with the bytes consumed.
     @raise End_of_file when the peer closed between frames (or mid-frame)

@@ -119,12 +119,14 @@ let raise_err code msg =
 
 (* --- connection management ------------------------------------------------- *)
 
-let write_frame t frame =
+(* Write one encoded frame; Connection_lost when the link is down or
+   breaks. *)
+let write_encoded t s =
   let fd = locked t.mu (fun () -> t.fd) in
   match fd with
   | None -> raise Connection_lost
   | Some fd -> (
-    try ignore (Frame.write_fd fd frame)
+    try Frame.write_encoded fd s
     with Unix.Unix_error _ | Sys_error _ ->
       locked t.mu (fun () ->
           (match t.fd with
@@ -134,6 +136,8 @@ let write_frame t frame =
           | _ -> ());
           Condition.broadcast t.reply_cond);
       raise Connection_lost)
+
+let write_frame t frame = write_encoded t (Frame.encode frame)
 
 (* Establish a socket, handshake, and re-register live subscriptions.
    Caller holds req_mu.  Any successful handshake after the first counts
@@ -273,10 +277,13 @@ let do_flush t =
       let cur = Obs.Trace.current () in
       if cur <> 0 then cur else Obs.Trace.fresh_id ()
     in
+    (* encoded once, so a retry resends the same bytes and the events are
+       not kept alive through the wait for the ack *)
+    let frame = Frame.encode (Frame.Send_many { trace; events }) in
     let reply =
       try
         rpc t (fun () ->
-            write_frame t (Frame.Send_many { trace; events });
+            write_encoded t frame;
             wait_reply t)
       with e ->
         (* connection gone for good: the batch is lost, restore nothing *)
@@ -293,9 +300,11 @@ let do_flush t =
   end
 
 let send t event =
+  (* encoded before taking the lock: the receiver thread needs it too *)
+  let encoded = Events.Codec.encode_event event in
   let full =
     locked t.mu (fun () ->
-        t.buffer <- Events.Codec.encode_event event :: t.buffer;
+        t.buffer <- encoded :: t.buffer;
         t.buffered <- t.buffered + 1;
         t.buffered >= t.buffer_max)
   in

@@ -2,145 +2,260 @@ open Types
 
 let magic = "SENTINELDB 1"
 
+(* --- escapes and integer tokens ------------------------------------------ *)
+
+(* A set of bytes that travel unescaped, as a 256-byte membership table. *)
+type charset = string
+
+let charset safe =
+  String.init 256 (fun i -> if safe (Char.chr i) then '\001' else '\000')
+
+let value_chars =
+  charset (function
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> true
+    | '.' | '-' | '_' | '/' | '@' | '!' | '?' | '+' | '*' | '=' | '<' | '>' ->
+      true
+    | _ -> false)
+
+let is_safe set c = String.unsafe_get set (Char.code c) <> '\000'
+
+let all_safe set s =
+  let i = ref 0 in
+  while !i < String.length s && is_safe set (String.unsafe_get s !i) do
+    incr i
+  done;
+  !i = String.length s
+
+let hex_upper = "0123456789ABCDEF"
+
+let add_escaped set buf s =
+  if all_safe set s then Buffer.add_string buf s
+  else
+    for i = 0 to String.length s - 1 do
+      let c = s.[i] in
+      if is_safe set c then Buffer.add_char buf c
+      else begin
+        let code = Char.code c in
+        Buffer.add_char buf '%';
+        Buffer.add_char buf hex_upper.[code lsr 4];
+        Buffer.add_char buf hex_upper.[code land 0xF]
+      end
+    done
+
+let escape_with set s =
+  if all_safe set s then s
+  else begin
+    let buf = Buffer.create (String.length s * 3) in
+    add_escaped set buf s;
+    Buffer.contents buf
+  end
+
+let parse_error fmt = Printf.ksprintf (fun s -> raise (Errors.Parse_error s)) fmt
+
+let hex_digit c =
+  match c with
+  | '0' .. '9' -> Char.code c - 48
+  | 'A' .. 'F' -> Char.code c - 55
+  | 'a' .. 'f' -> Char.code c - 87
+  | _ -> -1
+
+let unescape_sub s pos len =
+  let stop = pos + len in
+  (* count the escapes, checking each, so the result is allocated once at
+     its exact size *)
+  let escapes = ref 0 and i = ref pos in
+  while !i < stop do
+    if String.unsafe_get s !i <> '%' then incr i
+    else if !i + 2 >= stop then parse_error "truncated escape"
+    else if hex_digit s.[!i + 1] < 0 || hex_digit s.[!i + 2] < 0 then
+      parse_error "bad escape %%%s" (String.sub s (!i + 1) 2)
+    else begin
+      incr escapes;
+      i := !i + 3
+    end
+  done;
+  if !escapes = 0 then String.sub s pos len
+  else begin
+    let b = Bytes.create (len - (2 * !escapes)) in
+    let i = ref pos and j = ref 0 in
+    while !i < stop do
+      let c = String.unsafe_get s !i in
+      if c <> '%' then begin
+        Bytes.unsafe_set b !j c;
+        incr i
+      end
+      else begin
+        Bytes.unsafe_set b !j
+          (Char.unsafe_chr
+             ((hex_digit s.[!i + 1] lsl 4) lor hex_digit s.[!i + 2]));
+        i := !i + 3
+      end;
+      incr j
+    done;
+    Bytes.unsafe_to_string b
+  end
+
+(* Decimal digits are read in place; anything else — a sign, a radix
+   prefix, underscores, overflow — goes to [int_of_string], which defines
+   what an integer token accepts. *)
+let int_sub s pos len =
+  let neg = len > 0 && s.[pos] = '-' in
+  let first = if neg then pos + 1 else pos in
+  let digits = pos + len - first in
+  let acc = ref 0 and i = ref first in
+  while
+    !i < pos + len
+    && match s.[!i] with '0' .. '9' -> true | _ -> false
+  do
+    acc := (!acc * 10) + Char.code s.[!i] - 48;
+    incr i
+  done;
+  if digits >= 1 && digits <= 18 && !i = pos + len then
+    Some (if neg then - !acc else !acc)
+  else int_of_string_opt (String.sub s pos len)
+
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int buf n =
+  if n >= 0 then add_digits buf n
+  else if n = min_int then Buffer.add_string buf (string_of_int n)
+  else begin
+    Buffer.add_char buf '-';
+    add_digits buf (-n)
+  end
+
 (* --- value encoding ------------------------------------------------------
    Single-token grammar (no whitespace):
      n | b:t | b:f | i:<int> | f:<hex float> | o:<int>
      s:<escaped>          %XX-escaping for bytes outside the safe set
      l(<enc>,<enc>,...)   recursive; l() is the empty list                  *)
 
-let safe_char c =
-  match c with
-  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> true
-  | '.' | '-' | '_' | '/' | '@' | '!' | '?' | '+' | '*' | '=' | '<' | '>' -> true
-  | _ -> false
+(* What [Printf "%h"] prints: hexadecimal, as many digits as needed. *)
+external hexstring_of_float : float -> int -> char -> string
+  = "caml_hexstring_of_float"
 
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      if safe_char c then Buffer.add_char buf c
-      else Buffer.add_string buf (Printf.sprintf "%%%02X" (Char.code c)))
-    s;
-  Buffer.contents buf
+let hex_float f = hexstring_of_float f (-6) '-'
 
-let rec encode_value = function
-  | Value.Null -> "n"
-  | Value.Bool true -> "b:t"
-  | Value.Bool false -> "b:f"
-  | Value.Int n -> "i:" ^ string_of_int n
-  | Value.Float f -> Printf.sprintf "f:%h" f
-  | Value.Str s -> "s:" ^ escape s
-  | Value.Obj o -> "o:" ^ string_of_int (Oid.to_int o)
-  | Value.List vs -> "l(" ^ String.concat "," (List.map encode_value vs) ^ ")"
+let rec add_value buf = function
+  | Value.Null -> Buffer.add_char buf 'n'
+  | Value.Bool true -> Buffer.add_string buf "b:t"
+  | Value.Bool false -> Buffer.add_string buf "b:f"
+  | Value.Int n ->
+    Buffer.add_string buf "i:";
+    add_int buf n
+  | Value.Float f ->
+    Buffer.add_string buf "f:";
+    Buffer.add_string buf (hex_float f)
+  | Value.Str s ->
+    Buffer.add_string buf "s:";
+    add_escaped value_chars buf s
+  | Value.Obj o ->
+    Buffer.add_string buf "o:";
+    add_int buf (Oid.to_int o)
+  | Value.List vs ->
+    Buffer.add_string buf "l(";
+    List.iteri
+      (fun i v ->
+        if i > 0 then Buffer.add_char buf ',';
+        add_value buf v)
+      vs;
+    Buffer.add_char buf ')'
+
+let encode_value = function
+  | Value.Float f -> "f:" ^ hex_float f
+  | v ->
+    let buf = Buffer.create 16 in
+    add_value buf v;
+    Buffer.contents buf
 
 exception Bad of string
 
-let parse_error fmt = Printf.ksprintf (fun s -> raise (Errors.Parse_error s)) fmt
+type cursor = { s : string; mutable pos : int }
 
-(* Cursor-based recursive descent over the token. *)
+let next_is c ch = c.pos < String.length c.s && c.s.[c.pos] = ch
+
+let expect c ch =
+  if next_is c ch then c.pos <- c.pos + 1
+  else raise (Bad (Printf.sprintf "expected %c at %d" ch c.pos))
+
+(* Advance to the next [,] or [)] (or the end); returns where the token
+   started. *)
+let token c =
+  let start = c.pos in
+  while c.pos < String.length c.s && not (next_is c ',' || next_is c ')') do
+    c.pos <- c.pos + 1
+  done;
+  start
+
+let token_text c start = String.sub c.s start (c.pos - start)
+
+let rec value c =
+  if c.pos >= String.length c.s then raise (Bad "empty value");
+  let tag = c.s.[c.pos] in
+  match tag with
+  | 'n' ->
+    c.pos <- c.pos + 1;
+    Value.Null
+  | 'b' ->
+    c.pos <- c.pos + 1;
+    expect c ':';
+    if not (next_is c 't' || next_is c 'f') then raise (Bad "bad bool");
+    c.pos <- c.pos + 1;
+    Value.Bool (c.s.[c.pos - 1] = 't')
+  | 'i' | 'o' -> (
+    c.pos <- c.pos + 1;
+    expect c ':';
+    let start = token c in
+    match int_sub c.s start (c.pos - start) with
+    | Some v -> if tag = 'i' then Value.Int v else Value.Obj (Oid.of_int v)
+    | None ->
+      raise
+        (Bad
+           ((if tag = 'i' then "bad int " else "bad oid ") ^ token_text c start)))
+  | 'f' -> (
+    c.pos <- c.pos + 1;
+    expect c ':';
+    let t = token_text c (token c) in
+    match float_of_string_opt t with
+    | Some v -> Value.Float v
+    | None -> raise (Bad ("bad float " ^ t)))
+  | 's' -> (
+    c.pos <- c.pos + 1;
+    expect c ':';
+    let start = token c in
+    try Value.Str (unescape_sub c.s start (c.pos - start))
+    with Errors.Parse_error msg -> raise (Bad msg))
+  | 'l' ->
+    c.pos <- c.pos + 1;
+    expect c '(';
+    if next_is c ')' then begin
+      c.pos <- c.pos + 1;
+      Value.List []
+    end
+    else begin
+      let rec elems acc =
+        let acc = value c :: acc in
+        if next_is c ',' then begin
+          c.pos <- c.pos + 1;
+          elems acc
+        end
+        else if next_is c ')' then begin
+          c.pos <- c.pos + 1;
+          List.rev acc
+        end
+        else raise (Bad "unterminated list")
+      in
+      Value.List (elems [])
+    end
+  | ch -> raise (Bad (Printf.sprintf "unexpected %c" ch))
+
 let decode_value s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let expect c =
-    match peek () with
-    | Some x when x = c -> advance ()
-    | _ -> raise (Bad (Printf.sprintf "expected %c at %d" c !pos))
-  in
-  (* scan until one of the delimiters [,)] or end of string *)
-  let scan_token () =
-    let start = !pos in
-    while !pos < n && s.[!pos] <> ',' && s.[!pos] <> ')' do
-      advance ()
-    done;
-    String.sub s start (!pos - start)
-  in
-  let unescape t =
-    let buf = Buffer.create (String.length t) in
-    let i = ref 0 in
-    let m = String.length t in
-    while !i < m do
-      if t.[!i] = '%' then begin
-        if !i + 2 >= m then raise (Bad "truncated escape");
-        let hex = String.sub t (!i + 1) 2 in
-        (match int_of_string_opt ("0x" ^ hex) with
-        | Some code -> Buffer.add_char buf (Char.chr code)
-        | None -> raise (Bad ("bad escape %" ^ hex)));
-        i := !i + 3
-      end
-      else begin
-        Buffer.add_char buf t.[!i];
-        incr i
-      end
-    done;
-    Buffer.contents buf
-  in
-  let rec value () =
-    match peek () with
-    | None -> raise (Bad "empty value")
-    | Some 'n' ->
-      advance ();
-      Value.Null
-    | Some 'b' ->
-      advance ();
-      expect ':';
-      (match peek () with
-      | Some 't' ->
-        advance ();
-        Value.Bool true
-      | Some 'f' ->
-        advance ();
-        Value.Bool false
-      | _ -> raise (Bad "bad bool"))
-    | Some 'i' ->
-      advance ();
-      expect ':';
-      let t = scan_token () in
-      (match int_of_string_opt t with
-      | Some v -> Value.Int v
-      | None -> raise (Bad ("bad int " ^ t)))
-    | Some 'f' ->
-      advance ();
-      expect ':';
-      let t = scan_token () in
-      (match float_of_string_opt t with
-      | Some v -> Value.Float v
-      | None -> raise (Bad ("bad float " ^ t)))
-    | Some 's' ->
-      advance ();
-      expect ':';
-      Value.Str (unescape (scan_token ()))
-    | Some 'o' ->
-      advance ();
-      expect ':';
-      let t = scan_token () in
-      (match int_of_string_opt t with
-      | Some v -> Value.Obj (Oid.of_int v)
-      | None -> raise (Bad ("bad oid " ^ t)))
-    | Some 'l' ->
-      advance ();
-      expect '(';
-      let items = ref [] in
-      (match peek () with
-      | Some ')' -> advance ()
-      | _ ->
-        let rec elems () =
-          items := value () :: !items;
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elems ()
-          | Some ')' -> advance ()
-          | _ -> raise (Bad "unterminated list")
-        in
-        elems ());
-      Value.List (List.rev !items)
-    | Some c -> raise (Bad (Printf.sprintf "unexpected %c" c))
-  in
+  let c = { s; pos = 0 } in
   try
-    let v = value () in
-    if !pos <> n then raise (Bad "trailing garbage");
+    let v = value c in
+    if c.pos <> String.length c.s then raise (Bad "trailing garbage");
     v
   with Bad msg -> parse_error "value %S: %s" s msg
 

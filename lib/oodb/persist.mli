@@ -66,10 +66,46 @@ val delta_header : ?storage:Storage.t -> string -> (int * int) option
 (** [(prev, walseq)] from a delta file's header, or [None] when the file is
     missing or not a delta. *)
 
-(** {1 Value encoding} (exposed for tests) *)
+(** {1 Value encoding}
+
+    The value language the snapshot, the WAL, the dead-letter queue and the
+    wire share. *)
 
 val encode_value : Value.t -> string
 (** Single-token, whitespace-free encoding. *)
 
+val add_value : Buffer.t -> Value.t -> unit
+(** Append {!encode_value}'s bytes. *)
+
 val decode_value : string -> Value.t
 (** @raise Errors.Parse_error *)
+
+(** {1 Escapes and integer tokens}
+
+    The [%XX] escaping and decimal integers every textual codec in the
+    store uses, written straight into a caller's buffer. *)
+
+type charset
+(** The bytes that travel unescaped. *)
+
+val charset : (char -> bool) -> charset
+
+val add_escaped : charset -> Buffer.t -> string -> unit
+(** Append the string with every byte outside the set written as [%XX]
+    (uppercase hex). *)
+
+val escape_with : charset -> string -> string
+(** The escaped string; the argument itself when nothing needs escaping. *)
+
+val unescape_sub : string -> int -> int -> string
+(** [unescape_sub s pos len] decodes the [%XX] escapes in the [len] bytes
+    of [s] from [pos].
+    @raise Errors.Parse_error on a truncated or non-hex escape *)
+
+val add_int : Buffer.t -> int -> unit
+(** Append the decimal digits of the integer, as [string_of_int] writes
+    them. *)
+
+val int_sub : string -> int -> int -> int option
+(** [int_sub s pos len] reads an integer token as [int_of_string_opt]
+    would read [String.sub s pos len]. *)

@@ -37,32 +37,68 @@ let with_retries ?(attempts = 5) ?(backoff = default_backoff) f =
 (* --- CRC-32 --------------------------------------------------------------- *)
 
 module Crc32 = struct
+  (* Slicing-by-8: [table.(k * 256 + n)] is the CRC of byte [n] followed by
+     [k] zero bytes, so eight bytes fold in per step.  Built eagerly at
+     module initialisation: a lazy table raced when two domains forced it
+     at once. *)
   let table =
-    lazy
-      (Array.init 256 (fun n ->
-           let c = ref (Int32.of_int n) in
-           for _ = 0 to 7 do
-             c :=
-               if Int32.logand !c 1l <> 0l then
-                 Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-               else Int32.shift_right_logical !c 1
-           done;
-           !c))
+    let t = Array.make (8 * 256) 0 in
+    for n = 0 to 255 do
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      t.(n) <- !c
+    done;
+    for k = 1 to 7 do
+      for n = 0 to 255 do
+        let prev = t.(((k - 1) * 256) + n) in
+        t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xFF)
+      done
+    done;
+    t
 
-  let string ?(crc = 0l) s =
-    let t = Lazy.force table in
-    let c = ref (Int32.lognot crc) in
-    String.iter
-      (fun ch ->
-        let i =
-          Int32.to_int
-            (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
-        in
-        c := Int32.logxor t.(i) (Int32.shift_right_logical !c 8))
-      s;
-    Int32.lognot !c
+  let tbl k n = Array.unsafe_get table ((k * 256) + (n land 0xFF))
+  let word s i = Int32.to_int (String.get_int32_le s i) land 0xFFFF_FFFF
 
-  let to_hex c = Printf.sprintf "%08lx" c
+  let update crc s pos len =
+    if pos < 0 || len < 0 || pos > String.length s - len then
+      invalid_arg "Crc32.update";
+    let c = ref (crc lxor 0xFFFF_FFFF) in
+    let i = ref pos in
+    let stop = pos + len in
+    while !i + 8 <= stop do
+      let lo = !c lxor word s !i and hi = word s (!i + 4) in
+      c :=
+        tbl 7 lo
+        lxor tbl 6 (lo lsr 8)
+        lxor tbl 5 (lo lsr 16)
+        lxor tbl 4 (lo lsr 24)
+        lxor tbl 3 hi
+        lxor tbl 2 (hi lsr 8)
+        lxor tbl 1 (hi lsr 16)
+        lxor tbl 0 (hi lsr 24);
+      i := !i + 8
+    done;
+    while !i < stop do
+      c := tbl 0 (!c lxor Char.code (String.unsafe_get s !i)) lxor (!c lsr 8);
+      incr i
+    done;
+    !c lxor 0xFFFF_FFFF
+
+  let string ?(crc = 0) s = update crc s 0 (String.length s)
+
+  let hex_digits = "0123456789abcdef"
+
+  let add_hex buf c =
+    for i = 7 downto 0 do
+      Buffer.add_char buf hex_digits.[(c lsr (i * 4)) land 0xF]
+    done
+
+  let to_hex c =
+    let buf = Buffer.create 8 in
+    add_hex buf c;
+    Buffer.contents buf
 end
 
 (* --- the real filesystem -------------------------------------------------- *)

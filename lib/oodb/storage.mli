@@ -56,13 +56,24 @@ val with_retries : ?attempts:int -> ?backoff:(int -> unit) -> (unit -> 'a) -> 'a
     propagate immediately. *)
 
 (** CRC-32 (IEEE 802.3, the zlib polynomial) over strings; guards WAL v2
-    batch payloads against torn writes and bit rot. *)
+    batch payloads and wire frames against torn writes and bit rot.
+    Checksums are unsigned 32-bit values held in an [int].  The table is
+    built at module initialisation, so any domain may checksum at any
+    time, and {!update} does not allocate. *)
 module Crc32 : sig
-  val string : ?crc:int32 -> string -> int32
+  val update : int -> string -> int -> int -> int
+  (** [update crc s pos len] continues the checksum [crc] over the [len]
+      bytes of [s] starting at [pos]; [update 0] starts a fresh one.
+      @raise Invalid_argument when the range is outside [s]. *)
+
+  val string : ?crc:int -> string -> int
   (** [string s] is the checksum of [s]; pass [?crc] to continue a running
       checksum. *)
 
-  val to_hex : int32 -> string
+  val add_hex : Buffer.t -> int -> unit
+  (** Append {!to_hex} of the checksum. *)
+
+  val to_hex : int -> string
   (** Fixed-width lowercase hex, e.g. ["0a1b2c3d"]. *)
 end
 

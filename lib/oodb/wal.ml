@@ -25,17 +25,26 @@ type t = {
   (* sequence number the next batch will carry; monotone across the life of
      the log, never reset by checkpoints *)
   mutable next_seq : int;
-  (* one buffer per open transaction, innermost first; entries newest
-     first *)
-  mutable stack : string list list;
-  (* the open commit group: coalesced entries (newest first) and how many
-     commits they came from.  Nothing here has touched the disk yet. *)
-  mutable g_entries : string list;
+  (* the open transaction's entries, each ending in a newline, and how many
+     there are; empty outside a transaction *)
+  txn : Buffer.t;
+  mutable txn_n : int;
+  (* where each open nesting level began in [txn], as (bytes, entries);
+     innermost first *)
+  mutable marks : (int * int) list;
+  (* the open commit group: the committed entries, oldest first, start at
+     [header_room] in [g_bytes] and run for [g_len] bytes; [g_n] entries
+     from [g_txns] commits.  The batch header is written just before them
+     when the group seals.  Nothing here has touched the disk yet. *)
+  mutable g_bytes : Bytes.t;
+  mutable g_len : int;
+  mutable g_n : int;
   mutable g_txns : int;
   mutable g_opened_us : float; (* wall-clock when the group opened *)
   mutable n_batches : int;
   mutable n_entries : int;
   mutable attached : bool;
+  head : Buffer.t; (* the header of the batch being sealed *)
 }
 
 let batches_written t = t.n_batches
@@ -44,23 +53,62 @@ let pending_commits t = t.g_txns
 
 (* --- entry codec ----------------------------------------------------------- *)
 
-let oid_s o = string_of_int (Oid.to_int o)
+let add_word buf w =
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf w
 
-let encode_mutation = function
-  | M_create (oid, cls, attrs) ->
-    let attr (name, v) = name ^ "=" ^ Persist.encode_value v in
-    String.concat " " ([ "c"; oid_s oid; cls ] @ List.map attr attrs)
-  | M_delete oid -> "d " ^ oid_s oid
-  | M_set (oid, name, v) ->
-    Printf.sprintf "s %s %s %s" (oid_s oid) name (Persist.encode_value v)
-  | M_subscribe (r, c) -> Printf.sprintf "+ %s %s" (oid_s r) (oid_s c)
-  | M_unsubscribe (r, c) -> Printf.sprintf "- %s %s" (oid_s r) (oid_s c)
-  | M_subscribe_class (cls, c) -> Printf.sprintf "c+ %s %s" cls (oid_s c)
-  | M_unsubscribe_class (cls, c) -> Printf.sprintf "c- %s %s" cls (oid_s c)
+let add_oid buf o =
+  Buffer.add_char buf ' ';
+  Persist.add_int buf (Oid.to_int o)
+
+let encode_mutation buf = function
+  | M_create (o, cls, attrs) ->
+    Buffer.add_char buf 'c';
+    add_oid buf o;
+    add_word buf cls;
+    List.iter
+      (fun (name, v) ->
+        add_word buf name;
+        Buffer.add_char buf '=';
+        Persist.add_value buf v)
+      attrs
+  | M_delete o ->
+    Buffer.add_char buf 'd';
+    add_oid buf o
+  | M_set (o, name, v) ->
+    Buffer.add_char buf 's';
+    add_oid buf o;
+    add_word buf name;
+    Buffer.add_char buf ' ';
+    Persist.add_value buf v
+  | M_subscribe (r, c) ->
+    Buffer.add_char buf '+';
+    add_oid buf r;
+    add_oid buf c
+  | M_unsubscribe (r, c) ->
+    Buffer.add_char buf '-';
+    add_oid buf r;
+    add_oid buf c
+  | M_subscribe_class (cls, c) ->
+    Buffer.add_string buf "c+";
+    add_word buf cls;
+    add_oid buf c
+  | M_unsubscribe_class (cls, c) ->
+    Buffer.add_string buf "c-";
+    add_word buf cls;
+    add_oid buf c
   | M_create_index (cls, attr, ordered) ->
-    Printf.sprintf "ix %s %s %s" cls attr (if ordered then "o" else "h")
-  | M_drop_index (cls, attr) -> Printf.sprintf "dx %s %s" cls attr
-  | M_clock now -> "k " ^ string_of_int now
+    Buffer.add_string buf "ix";
+    add_word buf cls;
+    add_word buf attr;
+    add_word buf (if ordered then "o" else "h")
+  | M_drop_index (cls, attr) ->
+    Buffer.add_string buf "dx";
+    add_word buf cls;
+    add_word buf attr
+  | M_clock now ->
+    Buffer.add_string buf "k ";
+    Persist.add_int buf now
 
 let parse_error fmt =
   Printf.ksprintf (fun s -> raise (Errors.Parse_error s)) fmt
@@ -165,12 +213,11 @@ let scan data =
               | Some (lines, q) -> (
                 match next_line q with
                 | Some ("E", q') ->
-                  let body =
-                    String.concat "" (List.map (fun l -> l ^ "\n") lines)
-                  in
+                  (* the payload lines are the bytes [p, q) of the log *)
                   if
                     String.equal crc_s
-                      (Storage.Crc32.to_hex (Storage.Crc32.string body))
+                      (Storage.Crc32.to_hex
+                         (Storage.Crc32.update 0 data p (q - p)))
                   then
                     batches
                       ({ b_seq = seq; b_lines = lines; b_end = q' } :: acc)
@@ -254,46 +301,67 @@ let fsync_writer t =
       raise e
   end
 
-let write_batch_raw t entries =
+(* Room before the group's entries for the longest batch header:
+   "B <seq> <count> <crc>\n". *)
+let header_room = 64
+
+(* The group and transaction buffers are kept between batches up to this
+   size; one grown past it by a large transaction is given back. *)
+let kept_bytes = 65536
+
+let clear_group t =
+  if Bytes.length t.g_bytes > kept_bytes then
+    t.g_bytes <- Bytes.create (header_room + 4096);
+  t.g_len <- 0;
+  t.g_n <- 0;
+  t.g_txns <- 0;
+  t.g_opened_us <- 0.
+
+(* Write the group as one batch.  The group is cleared once the batch's
+   bytes are in the log, before they are made durable: from then on it must
+   not be written again, and a write that fails after its retries leaves it
+   whole. *)
+let write_group_raw t =
   if t.attached then begin
-    (* entries arrive newest first *)
-    let payload = Buffer.create 256 in
-    let n = ref 0 in
-    List.iter
-      (fun e ->
-        Buffer.add_string payload e;
-        Buffer.add_char payload '\n';
-        incr n)
-      (List.rev entries);
-    let body = Buffer.contents payload in
-    let data =
-      match t.version with
-      | V2 ->
-        Printf.sprintf "B %d %d %s\n%sE\n" t.next_seq !n
-          (Storage.Crc32.to_hex (Storage.Crc32.string body))
-          body
-      | V1 -> "B\n" ^ body ^ "E\n"
-    in
+    let body = header_room and b = t.g_bytes in
+    let head = t.head in
+    Buffer.clear head;
+    (match t.version with
+    | V2 ->
+      Buffer.add_string head "B ";
+      Persist.add_int head t.next_seq;
+      Buffer.add_char head ' ';
+      Persist.add_int head t.g_n;
+      Buffer.add_char head ' ';
+      Storage.Crc32.add_hex head
+        (Storage.Crc32.update 0 (Bytes.unsafe_to_string b) body t.g_len);
+      Buffer.add_char head '\n'
+    | V1 -> Buffer.add_string head "B\n");
+    let first = body - Buffer.length head in
+    Buffer.blit head 0 b first (Buffer.length head);
+    Bytes.blit_string "E\n" 0 b (body + t.g_len) 2;
+    let data = Bytes.sub_string b first (body + t.g_len + 2 - first) in
     (* one write per batch: a transient fault lands nothing, so the bounded
        retry cannot duplicate a partially-written batch *)
     Storage.with_retries (fun () -> t.w.Storage.write data);
-    t.w.Storage.flush ();
-    if t.sync then fsync_writer t;
-    (* counters and the sequence move only once the batch is safely down *)
+    (* counters and the sequence move only once the batch is down *)
     t.n_batches <- t.n_batches + 1;
-    t.n_entries <- t.n_entries + !n;
+    t.n_entries <- t.n_entries + t.g_n;
+    clear_group t;
     t.wal_db.stats.wal_bytes <- t.wal_db.stats.wal_bytes + String.length data;
     if t.version = V2 then begin
       t.wal_db.wal_applied_seq <- t.next_seq;
       t.next_seq <- t.next_seq + 1
-    end
+    end;
+    t.w.Storage.flush ();
+    if t.sync then fsync_writer t
   end
 
-let write_batch t entries =
-  if not !Obs.armed then write_batch_raw t entries
+let write_group t =
+  if not !Obs.armed then write_group_raw t
   else begin
     let t0 = Obs.Metrics.enter st_wal_append in
-    match write_batch_raw t entries with
+    match write_group_raw t with
     | () -> Obs.Metrics.exit st_wal_append t0
     | exception e ->
       Obs.Metrics.exit st_wal_append t0;
@@ -311,11 +379,8 @@ let write_batch t entries =
 
 let seal_group_raw t =
   if t.g_txns > 0 then begin
-    let entries = t.g_entries and txns = t.g_txns in
-    t.g_entries <- [];
-    t.g_txns <- 0;
-    t.g_opened_us <- 0.;
-    write_batch t entries;
+    let txns = t.g_txns in
+    write_group t;
     let st = t.wal_db.stats in
     st.group_commit_batches <- st.group_commit_batches + 1;
     (* commits beyond the first shared a batch (and an fsync) with it *)
@@ -336,41 +401,74 @@ let seal_group t =
 
 let now_us () = Unix.gettimeofday () *. 1e6
 
-(* One committed transaction's entries (newest first) reach the log, either
-   directly or through the group coordinator. *)
-let commit_batch t entries =
+(* The open transaction's entries join the group. *)
+let append_txn t =
+  let n = Buffer.length t.txn in
+  let need = header_room + t.g_len + n + 2 in
+  if Bytes.length t.g_bytes < need then begin
+    let bigger = Bytes.create (max need (2 * Bytes.length t.g_bytes)) in
+    Bytes.blit t.g_bytes header_room bigger header_room t.g_len;
+    t.g_bytes <- bigger
+  end;
+  Buffer.blit t.txn 0 t.g_bytes (header_room + t.g_len) n;
+  t.g_len <- t.g_len + n;
+  t.g_n <- t.g_n + t.txn_n;
+  t.g_txns <- t.g_txns + 1;
+  if n > kept_bytes then Buffer.reset t.txn else Buffer.clear t.txn;
+  t.txn_n <- 0
+
+(* One committed transaction's entries reach the log, either directly or
+   through the group coordinator.  When that raises, the transaction's
+   entries are dropped with it. *)
+let commit_txn_raw t =
   match t.group with
-  | None -> write_batch t entries
+  | None -> (
+    append_txn t;
+    (* without a group a failed write drops the batch, as it always has *)
+    try write_group t
+    with e ->
+      clear_group t;
+      raise e)
   | Some g ->
     (* a group left open past its window seals before new commits join it *)
     if t.g_txns > 0 && now_us () -. t.g_opened_us > float_of_int g.max_wait_us
     then seal_group t;
     if t.g_txns = 0 then t.g_opened_us <- now_us ();
-    t.g_entries <- entries @ t.g_entries;
-    t.g_txns <- t.g_txns + 1;
+    append_txn t;
     if t.g_txns >= g.max_batch then seal_group t
+
+let commit_txn t =
+  try commit_txn_raw t
+  with e ->
+    Buffer.reset t.txn;
+    t.txn_n <- 0;
+    raise e
 
 let on_event t event =
   if t.attached then
     match event with
-    | J_begin -> t.stack <- [] :: t.stack
-    | J_mutation m -> (
-      let entry = encode_mutation m in
-      match t.stack with
-      | [] -> commit_batch t [ entry ] (* autocommit *)
-      | buf :: rest -> t.stack <- (entry :: buf) :: rest)
+    | J_begin -> t.marks <- (Buffer.length t.txn, t.txn_n) :: t.marks
+    | J_mutation m ->
+      encode_mutation t.txn m;
+      Buffer.add_char t.txn '\n';
+      t.txn_n <- t.txn_n + 1;
+      if t.marks = [] then commit_txn t (* autocommit *)
     | J_commit_inner -> (
-      match t.stack with
-      | inner :: parent :: rest -> t.stack <- (inner @ parent) :: rest
-      | _ -> ())
+      match t.marks with _ :: (_ :: _ as rest) -> t.marks <- rest | _ -> ())
     | J_commit -> (
-      match t.stack with
-      | [ buf ] ->
-        t.stack <- [];
-        if buf <> [] then commit_batch t buf
+      match t.marks with
+      | [ _ ] ->
+        t.marks <- [];
+        if t.txn_n > 0 then commit_txn t
       | _ -> ())
     | J_abort -> (
-      match t.stack with [] -> () | _ :: rest -> t.stack <- rest)
+      match t.marks with
+      | [] -> ()
+      | (len, n) :: rest ->
+        if rest = [] && Buffer.length t.txn > kept_bytes then Buffer.reset t.txn
+        else Buffer.truncate t.txn len;
+        t.txn_n <- n;
+        t.marks <- rest)
 
 (* Force everything committed so far onto the disk: seal the open group and,
    for a [sync:false] log, fsync the buffered writes. *)
@@ -444,13 +542,18 @@ let attach ?(storage = Storage.unix) ?(sync = true) ?group_commit db path =
       w;
       version;
       next_seq;
-      stack = [];
-      g_entries = [];
+      txn = Buffer.create 256;
+      txn_n = 0;
+      marks = [];
+      g_bytes = Bytes.create (header_room + 4096);
+      g_len = 0;
+      g_n = 0;
       g_txns = 0;
       g_opened_us = 0.;
       n_batches = 0;
       n_entries = 0;
       attached = true;
+      head = Buffer.create header_room;
     }
   in
   db.stats.wal_bytes <- bytes;

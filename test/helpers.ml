@@ -24,6 +24,16 @@ let check_raises_any msg f =
 
 let test name f = Alcotest.test_case name `Quick f
 
+(* The path of a file under test/fixtures. *)
+let fixture name =
+  (* cwd is test/ under `dune runtest`, the workspace root under exec *)
+  let candidates =
+    [ Filename.concat "fixtures" name; Filename.concat "test/fixtures" name ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | Some p -> p
+  | None -> Alcotest.failf "fixture %s not found from %s" name (Sys.getcwd ())
+
 let contains_substring ~sub s =
   let n = String.length sub and m = String.length s in
   let rec scan i = i + n <= m && (String.sub s i n = sub || scan (i + 1)) in

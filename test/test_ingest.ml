@@ -490,6 +490,45 @@ let test_flush_backpressure_accounting () =
   Alcotest.(check int) "shed jobs never ran" 0 (Atomic.get ran);
   Shard_pool.stop pool
 
+(* A durable ingest is answered by its seal: when the idle hook that seals
+   raises, the ingest parked on it fails, and the next one, sealed, is
+   acknowledged. *)
+let test_failed_seal_fails_waiter () =
+  let armed = Atomic.make true in
+  let marker = Value.Float 1. in
+  let pool =
+    Shard_pool.create ~shards:2
+      ~on_idle:(fun _ sys ->
+        let db = System.db sys in
+        let applied =
+          List.exists
+            (fun o -> Value.equal (Db.get db o "salary") marker)
+            (Db.extent db "employee")
+        in
+        if applied && Atomic.exchange armed false then failwith "seal failed")
+      ~init:(fun _ _ -> System.create (employee_db ()))
+      ()
+  in
+  let o =
+    match
+      Shard_pool.run_on pool 0 (fun sys -> new_employee (System.db sys))
+    with
+    | Ok o -> o
+    | Error e -> raise e
+  in
+  (match Shard_pool.ingest ~wait:true pool [ (o, "set_salary", [ marker ]) ] with
+  | Error (Shard_pool.Degraded 0) -> ()
+  | Ok () -> Alcotest.fail "an unsealed ingest was acknowledged"
+  | Error e -> raise (Shard_pool.Shard_error e));
+  (match
+     Shard_pool.ingest ~wait:true pool [ (o, "set_salary", [ Value.Float 2. ]) ]
+   with
+  | Ok () -> ()
+  | Error e -> raise (Shard_pool.Shard_error e));
+  Alcotest.(check int) "the failed seal is a shard failure" 1
+    (Shard_pool.stats pool).Shard_pool.shard_failed.(0);
+  Shard_pool.stop pool
+
 let suite =
   [
     test "send_many matches sequential sends" test_send_many_parity;
@@ -505,4 +544,5 @@ let suite =
     test "cross-shard ingest parity" test_cross_shard_ingest_parity;
     test "cross-shard flush coalesces mailbox pushes" test_mpsc_push_coalescing;
     test "shed flush accounts every job" test_flush_backpressure_accounting;
+    test "failed seal fails its durable ingest" test_failed_seal_fails_waiter;
   ]

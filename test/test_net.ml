@@ -104,6 +104,25 @@ let test_event_codec_roundtrip =
          let ev = (Oid.of_int o, m, ps) in
          Events.Codec.decode_event (Events.Codec.encode_event ev) = ev))
 
+(* A %XX escape cut short — in the method or in a parameter — is a parse
+   error, never a literal percent sign. *)
+let test_truncated_escape_rejected =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"truncated escapes rejected" ~count:300
+       QCheck2.Gen.(
+         triple
+           (string_size ~gen:(oneofl [ 'a'; 'b'; 'x'; '_'; '0' ]) (int_bound 8))
+           (oneofl [ ""; "4"; "E" ])
+           bool)
+       (fun (prefix, digits, in_meth) ->
+         let field = prefix ^ "%" ^ digits in
+         let input =
+           if in_meth then "ev(1," ^ field ^ ",)" else "ev(1,m,s%3A" ^ field ^ ")"
+         in
+         match Events.Codec.decode_event input with
+         | _ -> false
+         | exception Oodb.Errors.Parse_error _ -> true))
+
 (* --- server fixtures ------------------------------------------------------- *)
 
 (* A pool whose every shard carries the employee schema, a counting rule on
@@ -218,6 +237,30 @@ let test_client_version_exception () =
           | Frame.Err { code; _ }, _ ->
             Alcotest.(check int) "err_version" Frame.err_version code
           | _ -> Alcotest.fail "expected Err"))
+
+let test_bad_escape_is_request_error () =
+  with_server (fun server _pool _ _ ->
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect fd
+            (Unix.ADDR_INET
+               (Unix.inet_addr_of_string "127.0.0.1", Server.port server));
+          ignore
+            (Frame.write_fd fd
+               (Frame.Hello { version = Frame.version; client = "raw" }));
+          (match Frame.read_fd fd with
+          | Frame.Hello_ack _, _ -> ()
+          | _ -> Alcotest.fail "expected Hello_ack");
+          ignore
+            (Frame.write_fd fd
+               (Frame.Send_many { trace = 0; events = [ "ev(1,set_salary%2,)" ] }));
+          match Frame.read_fd fd with
+          | Frame.Err { code; _ }, _ ->
+            Alcotest.(check int) "err_request" Frame.err_request code
+          | frame, _ ->
+            Alcotest.failf "expected Err, got tag 0x%02x" (Frame.tag frame)))
 
 (* --- wire vs in-process differential --------------------------------------- *)
 
@@ -477,9 +520,12 @@ let suite =
     test_truncated_rejected;
     test_bitflip_rejected;
     test_event_codec_roundtrip;
+    test_truncated_escape_rejected;
     test "handshake and ping" test_handshake_and_ping;
     test "version mismatch gets a typed reply" test_version_mismatch;
     test "in-payload version mismatch rejected" test_client_version_exception;
+    test "truncated escape answered as a bad request"
+      test_bad_escape_is_request_error;
     test "wire ingest = in-process ingest" test_wire_differential;
     test "subscribe streams notifications" test_subscribe_notify;
     test "query streams rows" test_query_streams_rows;

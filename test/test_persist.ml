@@ -161,15 +161,6 @@ let test_save_atomic_and_tmp_cleanup () =
    into today's slot-compiled store proves the on-disk contract — attribute
    names stay strings — survived the layout refactor.  Runs in both layout
    modes. *)
-let fixture name =
-  (* cwd is test/ under `dune runtest`, the workspace root under exec *)
-  let candidates =
-    [ Filename.concat "fixtures" name; Filename.concat "test/fixtures" name ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> Alcotest.failf "fixture %s not found from %s" name (Sys.getcwd ())
-
 let test_preslot_fixture_compat () =
   let run layout =
     let db = Db.create ~layout () in

@@ -270,6 +270,34 @@ let test_counters_only_after_durable_write () =
   Alcotest.(check int) "the durable batch replays" 1 applied;
   Alcotest.check value "its state" (Value.Float 3.) (Db.get db2 e "salary")
 
+(* A group whose seal fails for good stays open: the next seal writes it,
+   once, and recovery rebuilds it. *)
+let test_group_commit_failed_seal_keeps_group () =
+  let fs = Oodb.Storage.Mem.create () in
+  let storage = Oodb.Storage.Mem.storage fs in
+  let db = fresh_db () in
+  let wal =
+    Wal.attach ~storage
+      ~group_commit:{ Wal.max_batch = 100; max_wait_us = max_int }
+      db "log.wal"
+  in
+  let e = new_employee db ~salary:7. in
+  Oodb.Storage.Mem.fail_writes fs 99;
+  (match Wal.sync wal with
+  | exception Errors.Io_error _ -> ()
+  | () -> Alcotest.fail "expected Io_error once retries are exhausted");
+  Alcotest.(check int) "nothing written" 0 (Wal.batches_written wal);
+  Alcotest.(check int) "the group is still open" 1 (Wal.pending_commits wal);
+  Oodb.Storage.Mem.clear_faults fs;
+  Wal.sync wal;
+  Alcotest.(check int) "written once" 1 (Wal.batches_written wal);
+  Alcotest.(check int) "group closed" 0 (Wal.pending_commits wal);
+  Wal.detach wal;
+  let db2 = fresh_db () in
+  let r = Wal.recover ~storage db2 ~snapshot:"none.snapshot" ~wal:"log.wal" in
+  Alcotest.(check int) "one batch recovered" 1 r.Wal.r_batches_replayed;
+  Alcotest.check value "its state" (Value.Float 7.) (Db.get db2 e "salary")
+
 let test_nested_inner_abort_outer_commit () =
   with_tmp (fun path ->
       let db = fresh_db () in
@@ -740,6 +768,8 @@ let suite =
     test "group commit: crash loses whole group"
       test_group_commit_crash_loses_whole_group;
     test "group commit: window expiry" test_group_commit_window_expiry;
+    test "group commit: failed seal keeps its group"
+      test_group_commit_failed_seal_keeps_group;
     test "delta checkpoint and recover" test_delta_checkpoint_and_recover;
     test "delta covers deletes and subscriptions"
       test_delta_covers_deletes_and_subscriptions;
