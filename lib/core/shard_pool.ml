@@ -635,25 +635,60 @@ let submit t idx ~run ~abort =
 
 let post_on t idx run = submit t idx ~run ~abort:None
 
-let run_on ?timeout_ms t idx f =
-  let iv = Ivar.create () in
+(* The calling domain's shard index in [t], or -1 off the pool's shards. *)
+let self_index t =
+  match Domain.DLS.get current_ctx with
+  | Some c when c.c_pool == t -> c.c_idx
+  | _ -> -1
+
+let deadline_of timeout_ms =
+  Option.map
+    (fun ms -> Obs.Clock.now_ns () +. (float_of_int ms *. 1e6))
+    timeout_ms
+
+(* Wait for shard [idx]'s answer, up to [deadline_ns] when one is given. *)
+let await (t : t) idx iv deadline_ns =
+  match deadline_ns with
+  | None -> Ivar.read iv
+  | Some deadline_ns -> (
+    match Ivar.read_until iv ~deadline_ns with
+    | Some r -> r
+    | None ->
+      (* the job may still execute later — a timeout only abandons the
+         wait, it cannot retract a message already accepted *)
+      ignore (Atomic.fetch_and_add t.timeouts 1);
+      Obs.Metrics.hit st_timeout;
+      Error (Shard_error (Timed_out idx)))
+
+(* Hand [f] to shard [idx] through [post], its result (or the typed error
+   that displaced it) landing in [iv].  A declined post fills [iv] itself:
+   a rejected job never reaches its abort. *)
+let post_into ~post iv idx f =
   let run sys = Ivar.fill iv (try Ok (f sys) with e -> Error e) in
   let abort = Some (fun err -> Ivar.fill iv (Error (Shard_error err))) in
-  match submit t idx ~run ~abort with
-  | Error err -> Error (Shard_error err)
-  | Ok () -> (
-    match timeout_ms with
-    | None -> Ivar.read iv
-    | Some ms -> (
-      let deadline_ns = Obs.Clock.now_ns () +. (float_of_int ms *. 1e6) in
-      match Ivar.read_until iv ~deadline_ns with
-      | Some r -> r
-      | None ->
-        (* the job may still execute later — a timeout only abandons the
-           wait, it cannot retract a message already accepted *)
-        ignore (Atomic.fetch_and_add t.timeouts 1);
-        Obs.Metrics.hit st_timeout;
-        Error (Shard_error (Timed_out idx))))
+  match post idx ~run ~abort with
+  | Ok () -> ()
+  | Error err -> Ivar.fill iv (Error (Shard_error err))
+
+let run_on ?timeout_ms t idx f =
+  let iv = Ivar.create () in
+  post_into ~post:(submit t) iv idx f;
+  await t idx iv (deadline_of timeout_ms)
+
+(* Scatter-gather over every shard: post [f i] to each shard before waiting
+   for any, then collect every answer, in shard order, under one deadline.
+   A shard that declines or fails does not stop the others.  The calling
+   shard's own job runs inline, so it is posted last: the other shards'
+   jobs overlap with it instead of queueing behind it. *)
+let scatter ?timeout_ms t ~post f =
+  let deadline_ns = deadline_of timeout_ms in
+  let self = self_index t in
+  let ivs = Array.init t.n (fun _ -> Ivar.create ()) in
+  for i = 0 to t.n - 1 do
+    if i <> self then post_into ~post ivs.(i) i (f i)
+  done;
+  if self >= 0 then post_into ~post ivs.(self) self (f self);
+  Array.mapi (fun i iv -> await t i iv deadline_ns) ivs
 
 let post t oid meth args =
   post_on t (shard_of t oid) (fun sys ->
@@ -664,14 +699,10 @@ let call ?timeout_ms t oid meth args =
       Db.send (System.db sys) oid meth args)
 
 let each ?timeout_ms t f =
-  let rec go i acc =
-    if i >= t.n then Ok (List.rev acc)
-    else
-      match run_on ?timeout_ms t i (fun sys -> f i sys) with
-      | Ok v -> go (i + 1) (v :: acc)
-      | Error e -> Error e
-  in
-  go 0 []
+  let results = scatter ?timeout_ms t ~post:(submit t) f in
+  match Array.find_opt Result.is_error results with
+  | Some (Error e) -> Error e
+  | _ -> Ok (Array.to_list (Array.map Result.get_ok results))
 
 (* --- cross-shard message batching ------------------------------------------ *)
 
@@ -767,11 +798,13 @@ let ingest ?flush_max ?(wait = false) t events =
       (* inline engine: the single shard's system ingests the whole batch
          synchronously, under the same containment frame as [submit] *)
       let sh = t.shards.(0) in
-      (match System.ingest (system_exn sh) events with
-      | Ok _ -> ()
-      | Error e -> note_failure t sh e);
+      let r = System.ingest (system_exn sh) events in
+      (match r with Ok _ -> () | Error e -> note_failure t sh e);
       ignore (Atomic.fetch_and_add sh.processed 1);
-      Ok ()
+      match r with
+      (* a rolled-back batch is no more applied here than on N shards *)
+      | Error _ when wait -> Error (Degraded 0)
+      | _ -> Ok ()
     end
     else begin
       (* partition by owning shard, preserving per-shard event order, then
@@ -855,46 +888,35 @@ let kill t idx =
 (* --- quiescence ------------------------------------------------------------ *)
 
 (* Quiescence barrier: a round posts a no-op through every live shard's inbox
-   (per-producer FIFO means it drains everything enqueued before it), then
-   checks that no accepted job is still in flight — jobs spawned *by* jobs
-   (cross-shard cascades) bump [enqueued] before their parent completes, and
-   jobs the supervisor discarded count into [discarded], so
+   (per-producer FIFO means it drains everything enqueued before it) — to
+   all shards at once, then waits for all of them — and then checks that no
+   accepted job is still in flight: jobs spawned *by* jobs (cross-shard
+   cascades) bump [enqueued] before their parent completes, and jobs the
+   supervisor discarded count into [discarded], so
    completed + discarded >= enqueued really means quiet.  Degraded shards are
-   skipped (their backlog was discarded when they degraded); a barrier
-   rejected by backpressure just retries next round. *)
+   skipped (their backlog was discarded when they degraded). *)
 let drain (t : t) =
   let quiet () =
     Atomic.get t.completed + Atomic.get t.discarded >= Atomic.get t.enqueued
   in
+  let self = self_index t in
   (* the barrier bypasses the bounded-inbox capacity: it is pool-internal
      bookkeeping and must neither shed user work nor count against the
-     backpressure policy's counters *)
-  let barrier i =
+     backpressure policy's counters.  A shard draining the pool must not
+     queue a barrier behind itself — its own worker is busy running this
+     very job — so its barrier runs inline. *)
+  let barrier i ~run ~abort =
     let sh = t.shards.(i) in
-    let iv = Ivar.create () in
-    let j =
-      {
-        run = (fun _ -> Ivar.fill iv (Ok ()));
-        trace = 0;
-        abort = Some (fun err -> Ivar.fill iv (Error (Shard_error err)));
-      }
-    in
-    Mpsc.push sh.inbox (Job j);
-    ignore (Atomic.fetch_and_add t.enqueued 1);
-    ignore (Ivar.read iv)
-  in
-  (* a shard draining the pool must not post a barrier to itself: its own
-     worker is busy running this very job *)
-  let self =
-    match Domain.DLS.get current_ctx with
-    | Some c when c.c_pool == t -> c.c_idx
-    | _ -> -1
+    if i = self then Ok (run (system_exn sh))
+    else if get_state sh = `Degraded then Error (Degraded i)
+    else begin
+      Mpsc.push sh.inbox (Job { run; trace = 0; abort });
+      ignore (Atomic.fetch_and_add t.enqueued 1);
+      Ok ()
+    end
   in
   let rec go () =
-    if t.n > 1 then
-      for i = 0 to t.n - 1 do
-        if i <> self && get_state t.shards.(i) <> `Degraded then barrier i
-      done;
+    if t.n > 1 then ignore (scatter t ~post:barrier (fun _ _ -> ()));
     if not (quiet ()) then begin
       (try Unix.sleepf 0.0002 with Unix.Unix_error _ -> ());
       go ()

@@ -50,7 +50,7 @@
     - [Dead_lettered i] — the job was parked in the pool's dead-letter
       ring (the [Dead_letter] policy, or an in-flight job displaced by a
       restart); {!replay_dead_letters} resubmits it.
-    - [Timed_out i] — a {!run_on} [?timeout_ms] expired.  The job may
+    - [Timed_out i] — a {!run_on} or {!each} [?timeout_ms] expired.  The job may
       still execute later: a timeout abandons the wait, it cannot retract
       an accepted message.
 
@@ -106,7 +106,7 @@ type error =
   | Degraded of int  (** shard's restart budget exhausted *)
   | Overloaded of int  (** bounded inbox full; job shed *)
   | Dead_lettered of int  (** parked in the pool dead-letter ring *)
-  | Timed_out of int  (** run_on deadline expired; job may still run *)
+  | Timed_out of int  (** wait deadline expired; job may still run *)
 
 exception Shard_error of error
 (** Carries a typed error through [('a, exn) result] waits and aborted
@@ -153,7 +153,9 @@ type stats = {
           quiescence) *)
   shed : int;  (** submissions rejected by backpressure *)
   dead_lettered : int;  (** jobs ever parked in the dead-letter ring *)
-  timeouts : int;  (** {!run_on} deadline expiries *)
+  timeouts : int;
+      (** {!run_on} and {!each} deadline expiries, one per shard that
+          missed the deadline *)
   mpsc_pushes : int;
       (** successful mailbox pushes, pool-wide.  A flushed job vector
           ({!flush}) counts once however many jobs it carries, so
@@ -226,13 +228,22 @@ val post_on : t -> int -> (System.t -> unit) -> (unit, error) result
 (** Run an arbitrary job on a shard, asynchronously. *)
 
 val each : ?timeout_ms:int -> t -> (int -> System.t -> 'a) -> ('a list, exn) result
-(** Run a job synchronously on {e every} shard in index order and collect
-    the results — the registration hook for layers that must install the
+(** Run [f i] on {e every} shard [i] at once and collect the results in
+    shard order — the registration hook for layers that must install the
     same state on each shard's engine (the network server registers a
-    subscription's rule on every shard this way, and fans a streamed query
-    out shard by shard).  Stops at the first shard that fails; jobs already
-    run are not undone.  Built on {!run_on}, so it runs inline at
-    [shards:1]. *)
+    subscription's rule on every shard this way, and fans a query out to
+    all shards).  Every shard's job is submitted before any answer is
+    awaited, so the shards run them concurrently and the call takes about
+    as long as the slowest shard, not the sum.  Every shard is attempted
+    even when another fails; jobs that did run are not undone.  The error
+    returned is the lowest-indexed shard's: the job's own exception, or
+    [Shard_error] for a shard that declined it ([Degraded i], [Stopped],
+    backpressure) or did not answer in time.  [?timeout_ms] is {e one}
+    deadline for the whole call, not one per shard: shards still silent
+    when it passes answer [Timed_out i], and their jobs may still run
+    later.  Called from inside a shard job, that shard's own job runs
+    inline (after the others are posted).  At [shards:1] it runs inline
+    on the caller. *)
 
 val run_on : ?timeout_ms:int -> t -> int -> (System.t -> 'a) -> ('a, exn) result
 (** Run a job on a shard and wait for its result (used for object creation,
@@ -301,7 +312,8 @@ val ingest :
     execution.  A failing sub-batch rolls back on its shard (the
     {!System.ingest} transaction) and is contained as a shard failure;
     other shards' sub-batches are unaffected.  At [shards:1] the batch is
-    ingested inline on the caller.
+    ingested inline on the caller, and a rolled-back batch answers
+    [~wait:true] with [Error (Degraded 0)] just as on N shards.
 
     [~wait:true] blocks until every sub-batch has {e executed}: [Ok ()]
     then means applied, and a failed sub-batch surfaces as
@@ -318,7 +330,11 @@ val ingest :
 val drain : t -> unit
 (** Block until the pool is quiescent: every accepted job has either
     executed or been discarded by the failure machinery (degraded-shard
-    backlogs, restart dead-letters).  Degraded shards are skipped. *)
+    backlogs, restart dead-letters).  Each round sends a barrier to every
+    live shard at once and waits for all of them, then checks that no
+    job spawned meanwhile (a cross-shard cascade) is still in flight;
+    rounds repeat until none is.  Degraded shards are skipped.  A no-op
+    at [shards:1], where jobs run synchronously on the caller. *)
 
 val kill : t -> int -> (unit, error) result
 (** Chaos injection: post a job that dies mid-batch, simulating the shard

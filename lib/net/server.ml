@@ -40,7 +40,7 @@ type conn = {
   c_fd : Unix.file_descr;
   c_mu : Mutex.t;
   c_cond : Condition.t;  (* work available / space freed / shutdown *)
-  c_control : Frame.t Queue.t;  (* unbounded: replies and errors *)
+  c_control : string Queue.t;  (* unbounded: encoded replies and errors *)
   c_notify : (int * string) Queue.t;  (* bounded outlet: (sub_id, instance) *)
   c_parked : (int * string) Queue.t;  (* Dead_letter ring *)
   mutable c_subs : sub list;
@@ -156,16 +156,25 @@ let render_stats t =
 
 (* --- outgoing queues ------------------------------------------------------- *)
 
-let enqueue_control t conn frame =
-  (match frame with
-  | Frame.Err _ -> Atomic.incr t.s_errors
-  | _ -> ());
+(* Queue replies for the writer, encoded here so the writer can size its
+   next write without encoding under the lock.  A multi-frame reply is
+   queued in one step, so the writer finds all of it at once. *)
+let enqueue_controls t conn frames =
+  let encoded =
+    List.map
+      (fun frame ->
+        (match frame with Frame.Err _ -> Atomic.incr t.s_errors | _ -> ());
+        Frame.encode frame)
+      frames
+  in
   Mutex.lock conn.c_mu;
   if conn.c_alive then begin
-    Queue.push frame conn.c_control;
+    List.iter (fun s -> Queue.push s conn.c_control) encoded;
     Condition.broadcast conn.c_cond
   end;
   Mutex.unlock conn.c_mu
+
+let enqueue_control t conn frame = enqueue_controls t conn [ frame ]
 
 (* Wait (bounded) until the writer has the control queue on the wire, so an
    error reply is not cut off by the close that follows it. *)
@@ -238,13 +247,37 @@ let push_notify t conn sub_id inst =
 (* --- writer thread --------------------------------------------------------- *)
 
 (* Only the connection's writer thread calls this (single-writer invariant:
-   frames never interleave on the socket). *)
-let send_frame t conn frame =
-  let n = Frame.write_fd conn.c_fd frame in
-  Atomic.incr t.s_frames_out;
+   frames never interleave on the socket).  [s] holds [frames] whole
+   encoded frames; the counters stay per frame however many share a
+   write. *)
+let send_encoded t conn ~frames s =
+  Frame.write_encoded conn.c_fd s;
+  let n = String.length s in
+  ignore (Atomic.fetch_and_add t.s_frames_out frames);
   ignore (Atomic.fetch_and_add t.s_bytes_out n);
-  Obs.Metrics.hit st_frames_out;
+  Obs.Metrics.add st_frames_out frames;
   Obs.Metrics.add st_bytes_out n
+
+(* Upper bound on the control frames coalesced into one write: replies
+   queued together (a query's Rows and Query_done) leave in one syscall
+   and reach the client in one wake-up. *)
+let write_budget = 65536
+
+(* Pop the control frames queued right now, up to [write_budget] bytes
+   (always at least one); returns how many and their bytes, concatenated.
+   Caller holds c_mu. *)
+let pop_controls conn =
+  let first = Queue.pop conn.c_control in
+  let rec take acc bytes =
+    match Queue.peek_opt conn.c_control with
+    | Some s when bytes + String.length s <= write_budget ->
+      ignore (Queue.pop conn.c_control);
+      take (s :: acc) (bytes + String.length s)
+    | _ -> List.rev acc
+  in
+  match take [] (String.length first) with
+  | [] -> (1, first)
+  | rest -> (1 + List.length rest, String.concat "" (first :: rest))
 
 (* Pop a chunk of notifications for one subscription: a run of entries
    sharing the front entry's sub_id, up to flush_max.  Caller holds c_mu. *)
@@ -274,10 +307,10 @@ let writer_loop t conn =
     done;
     if not conn.c_alive then Mutex.unlock conn.c_mu
     else if not (Queue.is_empty conn.c_control) then begin
-      let frame = Queue.pop conn.c_control in
+      let frames, s = pop_controls conn in
       conn.c_inflight <- true;
       Mutex.unlock conn.c_mu;
-      send_frame t conn frame;
+      send_encoded t conn ~frames s;
       Mutex.lock conn.c_mu;
       conn.c_inflight <- false;
       Mutex.unlock conn.c_mu;
@@ -298,7 +331,8 @@ let writer_loop t conn =
       Condition.broadcast conn.c_cond;
       Mutex.unlock conn.c_mu;
       let t0 = Obs.Metrics.enter st_flush in
-      send_frame t conn (Frame.Notify { sub_id; instances });
+      send_encoded t conn ~frames:1
+        (Frame.encode (Frame.Notify { sub_id; instances }));
       Obs.Metrics.exit st_flush t0;
       ignore (Atomic.fetch_and_add t.s_delivered (List.length instances));
       Mutex.lock conn.c_mu;
@@ -456,8 +490,8 @@ let handle_query t conn ~cls ~pred =
     | Ok per_shard ->
       let rows = List.concat per_shard in
       let total = List.length rows in
-      let rec chunk = function
-        | [] -> ()
+      let rec chunk acc = function
+        | [] -> List.rev (Frame.Query_done { total } :: acc)
         | rows ->
           let rec split i acc rest =
             match rest with
@@ -466,11 +500,9 @@ let handle_query t conn ~cls ~pred =
             | r :: tl -> split (i + 1) (r :: acc) tl
           in
           let head, rest = split 0 [] rows in
-          enqueue_control t conn (Frame.Rows { rows = head });
-          chunk rest
+          chunk (Frame.Rows { rows = head } :: acc) rest
       in
-      chunk rows;
-      enqueue_control t conn (Frame.Query_done { total })
+      enqueue_controls t conn (chunk [] rows)
     | Error (Oodb.Errors.No_such_class c) ->
       enqueue_control t conn
         (Frame.Err

@@ -29,7 +29,11 @@
       into the subscribing connection's outlet.  Firings stream back as
       chunked [Notify] frames (up to [flush_max] instances per frame).
     - [Query] parses the predicate ({!Oodb.Query_parser}), selects on
-      every shard and streams [Rows] chunks followed by [Query_done].
+      every shard at once ({!Sentinel.Shard_pool.each}) and replies with
+      [Rows] chunks followed by [Query_done].  The writer sends every
+      control reply queued at that moment, up to 64 KiB, in one socket
+      write, so a whole query reply usually leaves in one syscall;
+      [frames_out] still counts frames, not writes.
 
     {2 Backpressure}
 

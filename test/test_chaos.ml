@@ -409,6 +409,68 @@ let test_run_on_timeout () =
   Shard_pool.drain pool;
   Shard_pool.stop pool
 
+(* --- each under failure: one deadline, degraded shards skipped ---------- *)
+
+(* Two shards stuck behind gated jobs: one [each] deadline covers both, so
+   the call answers after about one deadline, not one per shard. *)
+let test_each_one_deadline () =
+  let pool =
+    Shard_pool.create ~shards:2
+      ~init:(fun _ _ -> System.create (employee_db ()))
+      ()
+  in
+  let gate = Atomic.make false in
+  for i = 0 to 1 do
+    post_on_exn pool i (fun _ ->
+        while not (Atomic.get gate) do
+          Unix.sleepf 0.001
+        done)
+  done;
+  let t0 = Unix.gettimeofday () in
+  let r = Shard_pool.each ~timeout_ms:50 pool (fun i _ -> i) in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  (match r with
+  | Error (Shard_pool.Shard_error (Shard_pool.Timed_out 0)) -> ()
+  | Ok _ -> Alcotest.fail "each returned despite the gates"
+  | Error e ->
+    Alcotest.failf "expected Timed_out 0, got %s" (Printexc.to_string e));
+  Alcotest.(check bool)
+    (Printf.sprintf "one deadline, not two (%.0f ms)" (elapsed *. 1000.))
+    true
+    (elapsed >= 0.05 && elapsed < 0.1);
+  Alcotest.(check int) "both shards missed it" 2
+    (Shard_pool.stats pool).Shard_pool.timeouts;
+  Atomic.set gate true;
+  Shard_pool.drain pool;
+  Shard_pool.stop pool
+
+let test_each_skips_degraded () =
+  let generation = Atomic.make 0 in
+  let pool =
+    Shard_pool.create ~shards:3
+      ~supervision:
+        { tight_supervision with max_restarts = 1; restart_window_ms = 60_000 }
+      ~init:(fun _ i ->
+        if i = 1 && Atomic.fetch_and_add generation 1 > 0 then
+          failwith "injected recovery crash";
+        System.create (employee_db ()))
+      ()
+  in
+  ok_or_raise (Shard_pool.kill pool 1);
+  wait_for "shard 1 degraded" (fun () ->
+      Shard_pool.shard_state pool 1 = `Degraded);
+  let ran = Array.init 3 (fun _ -> Atomic.make false) in
+  (match Shard_pool.each pool (fun i _ -> Atomic.set ran.(i) true) with
+  | Error (Shard_pool.Shard_error (Shard_pool.Degraded 1)) -> ()
+  | Ok _ -> Alcotest.fail "each succeeded over a degraded shard"
+  | Error e ->
+    Alcotest.failf "expected Degraded 1, got %s" (Printexc.to_string e));
+  Alcotest.(check (list bool)) "the live shards still ran"
+    [ true; false; true ]
+    (Array.to_list (Array.map Atomic.get ran));
+  Shard_pool.drain pool;
+  Shard_pool.stop pool
+
 let suite =
   [
     test "kill mid-batch: acked commits survive via WAL recovery"
@@ -427,4 +489,7 @@ let suite =
     test "flood: block deadline expiry sheds typed" test_block_deadline_expires;
     test "stopped pool rejects typed" test_stopped_pool_typed_errors;
     test "run_on timeout abandons the wait" test_run_on_timeout;
+    test "each: one deadline for every shard" test_each_one_deadline;
+    test "each: degraded shard reported, live shards run"
+      test_each_skips_degraded;
   ]

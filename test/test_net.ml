@@ -153,10 +153,11 @@ let mk_pool ?(shards = 1) ?(objects = 8) ?(rule = true) () =
   (pool, fired, audits)
 
 let with_server ?shards ?objects ?rule ?outlet_capacity ?outlet_policy
-    ?so_sndbuf f =
+    ?so_sndbuf ?flush_max f =
   let pool, fired, audits = mk_pool ?shards ?objects ?rule () in
   let server =
-    Server.create ?outlet_capacity ?outlet_policy ?so_sndbuf ~pool ()
+    Server.create ?outlet_capacity ?outlet_policy ?so_sndbuf ?flush_max ~pool
+      ()
   in
   Fun.protect
     ~finally:(fun () ->
@@ -393,6 +394,103 @@ let test_query_streams_rows () =
           | exception Client.Server_error { code; _ } ->
             Alcotest.(check int) "err_request" Frame.err_request code))
 
+(* --- coalesced replies ------------------------------------------------------ *)
+
+(* With two rows per frame a query's reply is many frames, queued at once
+   and written together: every row arrives, in shard order, and the client
+   only returns once Query_done (the last frame) is read. *)
+let test_query_reply_coalesced () =
+  with_server ~shards:2 ~objects:12 ~flush_max:2 (fun server pool _ _ ->
+      let expected =
+        match
+          Shard_pool.each pool (fun _ sys ->
+              Oodb.Query.select (System.db sys) "employee" Oodb.Query.True
+              |> List.map Oodb.Oid.to_int)
+        with
+        | Ok per_shard -> List.concat per_shard
+        | Error e -> raise e
+      in
+      with_client server (fun client ->
+          let rows = Client.query client ~cls:"employee" ~pred:"true" in
+          Alcotest.(check (list int)) "every row, in order" expected
+            (List.map (fun (oid, _, _) -> oid) rows);
+          let n = List.length rows in
+          Alcotest.(check bool) "spans several Rows frames" true (n > 4);
+          (* the server has sent this connection a Hello_ack, then the
+             Rows frames and Query_done; the writer counts a write's frames
+             after the write returns, so wait for the count *)
+          let sent = 1 + ((n + 1) / 2) + 1 in
+          Alcotest.(check bool)
+            "frames_out counts frames, not writes" true
+            (eventually (fun () ->
+                 (Server.stats server).Server.frames_out = sent))))
+
+(* An error reply queued just before the server hangs up still reaches the
+   peer: the close waits for the writer to put it on the wire. *)
+let test_err_flushed_before_close () =
+  with_server (fun server _pool _ _ ->
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect fd
+            (Unix.ADDR_INET
+               (Unix.inet_addr_of_string "127.0.0.1", Server.port server));
+          let junk = Bytes.of_string "JUNKJUNKJUNKJUNK" in
+          ignore (Unix.write fd junk 0 (Bytes.length junk));
+          (match Frame.read_fd fd with
+          | Frame.Err { code; _ }, _ ->
+            Alcotest.(check int) "err_frame" Frame.err_frame code
+          | frame, _ ->
+            Alcotest.failf "expected Err, got tag 0x%02x" (Frame.tag frame));
+          match Frame.read_fd fd with
+          | exception End_of_file -> ()
+          | _ -> Alcotest.fail "expected the server to close"))
+
+(* --- a rolled-back batch is never acked ------------------------------------- *)
+
+(* One shard, a rule whose action raises under the default Propagate policy:
+   the batch rolls back, so the client gets an error, not an Ack, and the
+   server does not count its events as ingested. *)
+let test_rolled_back_batch_not_acked () =
+  let pool =
+    Shard_pool.create ~shards:1
+      ~init:(fun _ _ ->
+        let db = employee_db () in
+        let sys = System.create db in
+        System.register_action sys "explode" (fun _ _ -> failwith "explode");
+        ignore
+          (System.create_rule sys ~name:"explode-on-raise"
+             ~monitor_classes:[ "employee" ]
+             ~event:(Expr.eom ~cls:"employee" "set_salary")
+             ~condition:"true" ~action:"explode" ());
+        ignore
+          (Workloads.Payroll.populate db (Prng.create 3) ~managers:1
+             ~employees:4);
+        sys)
+      ()
+  in
+  let server = Server.create ~pool () in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop server;
+      Shard_pool.stop pool)
+    (fun () ->
+      let oid = List.hd (employee_oids pool) in
+      let salary () =
+        Oodb.Db.get (System.db (Shard_pool.system pool 0)) oid "salary"
+      in
+      let before = salary () in
+      with_client server (fun client ->
+          Client.send client (oid, "set_salary", [ Value.Float 12345. ]);
+          match Client.flush client with
+          | n -> Alcotest.failf "rolled-back batch acked (%d events)" n
+          | exception Client.Server_error { code; _ } ->
+            Alcotest.(check int) "err_degraded" Frame.err_degraded code);
+      Alcotest.(check int) "events_ingested unchanged" 0
+        (Server.stats server).Server.events_ingested;
+      Alcotest.check value "the batch rolled back" before (salary ()))
+
 (* --- slow consumer: exact shed accounting ---------------------------------- *)
 
 let test_slow_consumer_shed_accounting () =
@@ -529,6 +627,11 @@ let suite =
     test "wire ingest = in-process ingest" test_wire_differential;
     test "subscribe streams notifications" test_subscribe_notify;
     test "query streams rows" test_query_streams_rows;
+    test "a query's reply frames arrive whole and in order"
+      test_query_reply_coalesced;
+    test "error reply flushed before close" test_err_flushed_before_close;
+    test "rolled-back batch on one shard is not acked"
+      test_rolled_back_batch_not_acked;
     test "slow consumer shed accounting is exact"
       test_slow_consumer_shed_accounting;
     test "connection refused is bounded" test_connect_refused_bounded;

@@ -17,6 +17,11 @@ let post_exn pool o meth args =
   | Ok () -> ()
   | Error e -> raise (Shard_pool.Shard_error e)
 
+let post_on_exn pool i f =
+  match Shard_pool.post_on pool i f with
+  | Ok () -> ()
+  | Error e -> raise (Shard_pool.Shard_error e)
+
 (* --- concurrent interning -------------------------------------------------- *)
 
 (* Each property run gets a fresh namespace so every iteration really
@@ -279,6 +284,116 @@ let test_shard_failure_contained () =
   | _ -> Alcotest.fail "poison job missing from the failure log");
   Shard_pool.stop pool
 
+(* --- scatter-gather: each and drain fan out to every shard at once ------- *)
+
+let plain_pool n =
+  Shard_pool.create ~shards:n ~init:(fun _ _ -> System.create (employee_db ())) ()
+
+(* Passes only if the jobs overlap: each shard's job checks in, then waits
+   (bounded) for every other shard's job to check in too.  Jobs run one
+   shard after another would each give up at the bound instead. *)
+let test_each_rendezvous () =
+  let pool = plain_pool n_domains in
+  Fun.protect
+    ~finally:(fun () -> Shard_pool.stop pool)
+    (fun () ->
+      let arrived = Atomic.make 0 in
+      let rendezvous _ _ =
+        Atomic.incr arrived;
+        let deadline = Unix.gettimeofday () +. 2.0 in
+        while Atomic.get arrived < n_domains && Unix.gettimeofday () < deadline
+        do
+          Unix.sleepf 0.0005
+        done;
+        Atomic.get arrived = n_domains
+      in
+      match Shard_pool.each pool rendezvous with
+      | Ok met ->
+        Alcotest.(check (list bool))
+          "every shard's job met all the others"
+          (List.init n_domains (fun _ -> true))
+          met
+      | Error e -> raise e)
+
+(* A failing shard does not stop its siblings, and the error reported is
+   the lowest-indexed shard's even when a later shard failed first. *)
+let test_each_first_error_by_index () =
+  let pool = plain_pool 3 in
+  Fun.protect
+    ~finally:(fun () -> Shard_pool.stop pool)
+    (fun () ->
+      let ran = Array.init 3 (fun _ -> Atomic.make false) in
+      let job i _ =
+        Atomic.set ran.(i) true;
+        match i with
+        | 0 ->
+          Unix.sleepf 0.02;
+          failwith "boom on shard 0"
+        | 2 -> failwith "boom on shard 2"
+        | _ -> i
+      in
+      (match Shard_pool.each pool job with
+      | Error (Failure m) ->
+        Alcotest.(check string) "shard 0's error" "boom on shard 0" m
+      | Error e -> Alcotest.failf "unexpected %s" (Printexc.to_string e)
+      | Ok _ -> Alcotest.fail "each hid a failing shard");
+      Array.iteri
+        (fun i r ->
+          Alcotest.(check bool)
+            (Printf.sprintf "shard %d's job ran" i)
+            true (Atomic.get r))
+        ran;
+      (* the pool is unharmed: the next fan-out succeeds *)
+      Alcotest.(check (result (list int) reject))
+        "next fan-out" (Ok [ 0; 1; 2 ])
+        (Shard_pool.each pool (fun i _ -> i)))
+
+(* Inside a shard job, [each] runs that shard's part inline on the calling
+   domain while the other shards answer through their mailboxes. *)
+let test_each_from_inside_shard () =
+  let pool = plain_pool 2 in
+  Fun.protect
+    ~finally:(fun () -> Shard_pool.stop pool)
+    (fun () ->
+      let nested =
+        Shard_pool.run_on ~timeout_ms:5_000 pool 1 (fun _ ->
+            let outer = Domain.self () in
+            Shard_pool.each ~timeout_ms:2_000 pool (fun i _ ->
+                (i, Domain.self () = outer)))
+      in
+      match nested with
+      | Ok (Ok [ (0, false); (1, true) ]) -> ()
+      | Ok (Ok _) -> Alcotest.fail "shard 1's part did not run inline"
+      | Ok (Error e) | Error e ->
+        Alcotest.failf "nested each failed: %s" (Printexc.to_string e))
+
+(* Chains of jobs, each hop posted from the shard it runs on to the next:
+   drain must not return while a hop is still in flight. *)
+let test_drain_with_cascades () =
+  let pool = plain_pool n_domains in
+  Fun.protect
+    ~finally:(fun () -> Shard_pool.stop pool)
+    (fun () ->
+      let hops = Atomic.make 0 in
+      let rec hop depth i _ =
+        Atomic.incr hops;
+        if depth > 0 then begin
+          let next = (i + 1) mod n_domains in
+          post_on_exn pool next (hop (depth - 1) next)
+        end
+      in
+      let chains = 8 and depth = 50 in
+      for c = 0 to chains - 1 do
+        let i = c mod n_domains in
+        post_on_exn pool i (hop depth i)
+      done;
+      Shard_pool.drain pool;
+      Alcotest.(check int) "every hop ran before drain returned"
+        (chains * (depth + 1)) (Atomic.get hops);
+      let st = Shard_pool.stats pool in
+      Alcotest.(check int) "nothing in flight" st.Shard_pool.enqueued
+        (st.Shard_pool.completed + st.Shard_pool.discarded))
+
 let suite =
   [
     intern_prop;
@@ -286,4 +401,10 @@ let suite =
       test_shard_pool_wal_smoke;
     test "cross-shard cascade keeps one trace id" test_cross_shard_trace;
     test "poison job is contained per shard" test_shard_failure_contained;
+    test "each runs every shard's job at once" test_each_rendezvous;
+    test "each attempts every shard, reports the first by index"
+      test_each_first_error_by_index;
+    test "each inside a shard job runs that shard inline"
+      test_each_from_inside_shard;
+    test "drain waits out cross-shard cascades" test_drain_with_cascades;
   ]
