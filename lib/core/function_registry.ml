@@ -25,6 +25,8 @@ let register_condition t name f = register t.conditions "condition" name f
 let register_action ?(may_send = []) t name f =
   register t.actions "action" name { a_fn = f; a_may_send = may_send }
 
+let unregister_action t name = Hashtbl.remove t.actions name
+
 let find tbl kind name =
   match Hashtbl.find_opt tbl name with
   | Some f -> f

@@ -34,6 +34,11 @@ val register_action :
     is treated as side-effect-free for analysis purposes.
     @raise Errors.Type_error when the name is already taken. *)
 
+val unregister_action : t -> string -> unit
+(** Forget the named action, dropping the registry's hold on its closure.
+    Rules created with it keep the function they already resolved.  No-op
+    for unknown names. *)
+
 val find_condition : t -> string -> condition
 (** @raise Errors.Type_error on unknown names. *)
 

@@ -759,7 +759,7 @@ let flush b =
   done;
   match !err with None -> Ok () | Some e -> Error e
 
-let batch_submit b idx ~run ~abort =
+let batch_submit ?trace b idx ~run ~abort =
   let t = b.b_pool in
   if idx < 0 || idx >= t.n then invalid_arg "Shard_pool: bad shard index";
   if Atomic.get t.stopped then Error Stopped
@@ -775,8 +775,8 @@ let batch_submit b idx ~run ~abort =
       | Some c when c.c_pool == t ->
         ignore (Atomic.fetch_and_add t.forwarded 1)
       | _ -> ());
-      b.b_jobs.(idx) <-
-        { run; trace = Obs.Trace.current (); abort } :: b.b_jobs.(idx);
+      let trace = match trace with Some tr -> tr | None -> Obs.Trace.current () in
+      b.b_jobs.(idx) <- { run; trace; abort } :: b.b_jobs.(idx);
       b.b_len.(idx) <- b.b_len.(idx) + 1;
       if b.b_len.(idx) >= b.b_cap then flush_shard b idx else Ok ()
 
@@ -789,16 +789,18 @@ let batch_post b oid meth args =
 
 (* --- batched ingestion ------------------------------------------------------ *)
 
-let ingest ?flush_max ?(wait = false) t events =
+let ingest ?flush_max ?(wait = false) ?trace t events =
   match events with
   | [] -> Ok ()
   | _ ->
+    let trace = match trace with Some tr -> tr | None -> Obs.Trace.current () in
     if Atomic.get t.stopped then Error Stopped
     else if t.n = 1 then begin
       (* inline engine: the single shard's system ingests the whole batch
          synchronously, under the same containment frame as [submit] *)
       let sh = t.shards.(0) in
-      let r = System.ingest (system_exn sh) events in
+      let ingest () = System.ingest (system_exn sh) events in
+      let r = if trace = 0 then ingest () else Obs.Trace.with_trace trace ingest in
       (match r with Ok _ -> () | Error e -> note_failure t sh e);
       ignore (Atomic.fetch_and_add sh.processed 1);
       match r with
@@ -829,7 +831,7 @@ let ingest ?flush_max ?(wait = false) t events =
             let sub = List.rev rev in
             let res =
               if not wait then
-                batch_post_on b idx (fun sys ->
+                batch_submit ~trace b idx ~abort:None ~run:(fun sys ->
                     match System.ingest sys sub with
                     | Ok _ -> ()
                     (* re-raise so the job boundary records the shard
@@ -845,7 +847,7 @@ let ingest ?flush_max ?(wait = false) t events =
                 let iv = Ivar.create () in
                 ivs := iv :: !ivs;
                 let r =
-                  batch_submit b idx
+                  batch_submit ~trace b idx
                     ~run:(fun sys ->
                       let r = System.ingest sys sub in
                       let fin sealed =

@@ -299,6 +299,7 @@ val flush : batch -> (unit, error) result
 val ingest :
   ?flush_max:int ->
   ?wait:bool ->
+  ?trace:int ->
   t ->
   (Oodb.Oid.t * string * Oodb.Value.t list) list ->
   (unit, error) result
@@ -325,7 +326,13 @@ val ingest :
     [Error Stopped]), and concurrent
     waiting ingests that pile onto one shard share a single seal (and one
     fsync): shard-level group commit.  The network server acks [Send_many]
-    through this path. *)
+    through this path.
+
+    [trace] (default: the caller's {!Obs.Trace.current}) is the cascade id
+    every sub-batch job runs under.  Pass it rather than wrapping the call
+    in {!Obs.Trace.with_trace}: the trace context is per domain, so a
+    blocking wait inside [with_trace] would hand the id to every other
+    thread of the calling domain. *)
 
 val drain : t -> unit
 (** Block until the pool is quiescent: every accepted job has either

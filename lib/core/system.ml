@@ -82,6 +82,8 @@ let register_condition t = Function_registry.register_condition t.sys_registry
 
 let register_action ?may_send t name f =
   Function_registry.register_action ?may_send t.sys_registry name f
+
+let unregister_action t = Function_registry.unregister_action t.sys_registry
 let strategy t = t.sys_strategy
 let set_strategy t s = t.sys_strategy <- s
 
@@ -664,9 +666,7 @@ let event_expr t oid =
 (* --- rules ---------------------------------------------------------------- *)
 
 let build_runtime t ~oid ~name ~event ~context ~coupling ~priority ~enabled
-    ~policy ~max_retries ~condition_name ~action_name =
-  let condition = Function_registry.find_condition t.sys_registry condition_name in
-  let action = Function_registry.find_action t.sys_registry action_name in
+    ~policy ~max_retries ~condition_name ~condition ~action_name ~action =
   let rule =
     Rule.make ~oid ~name ~event ~context
       ~subsumes:(fun ~sub ~super -> subsumes_of t.sys_db ~sub ~super)
@@ -685,11 +685,8 @@ let create_rule_common t ?name ?(coupling = Coupling.Immediate)
     ?(monitor_classes = []) ~event ~event_ref ~condition ~action () =
   let name = match name with Some n -> n | None -> fresh_rule_name t in
   (* Fail on unknown functions before creating the object. *)
-  let (_ : Function_registry.condition) =
-    Function_registry.find_condition t.sys_registry condition
-  and (_ : Function_registry.action) =
-    Function_registry.find_action t.sys_registry action
-  in
+  let condition_fn = Function_registry.find_condition t.sys_registry condition
+  and action_fn = Function_registry.find_action t.sys_registry action in
   let oid =
     Db.new_object t.sys_db C.rule_class
       ~attrs:
@@ -713,7 +710,8 @@ let create_rule_common t ?name ?(coupling = Coupling.Immediate)
   in
   ignore
     (build_runtime t ~oid ~name ~event ~context ~coupling ~priority ~enabled
-       ~policy ~max_retries ~condition_name:condition ~action_name:action);
+       ~policy ~max_retries ~condition_name:condition ~condition:condition_fn
+       ~action_name:action ~action:action_fn);
   List.iter (fun target -> Db.subscribe t.sys_db ~reactive:target ~consumer:oid) monitor;
   List.iter (fun cls -> Db.subscribe_class t.sys_db ~cls ~consumer:oid) monitor_classes;
   oid
@@ -804,11 +802,19 @@ let prune_runtimes t =
       unregister_rule t oid)
     stale
 
+(* The rule leaves the route, every consumer list it was on and the heap.
+   Inside a transaction all of it is undone together: a rollback brings back
+   its object, its subscriptions and its runtime. *)
 let delete_rule t oid =
-  ignore (rule_info t oid);
+  let rule = rule_info t oid in
+  let db = t.sys_db in
   Oid.Table.remove t.rule_table oid;
   unregister_rule t oid;
-  Db.delete_object t.sys_db oid
+  Transaction.on_abort db (fun () ->
+      Oid.Table.replace t.rule_table oid rule;
+      register_rule t rule);
+  Db.unsubscribe_all db ~consumer:oid;
+  Db.delete_object db oid
 
 let rules t =
   Oid.Table.fold (fun oid _ acc -> oid :: acc) t.rule_table []
@@ -962,6 +968,8 @@ let rehydrate t =
       let quarantined =
         Value.to_bool (get_or C.a_quarantined (Value.Bool false))
       in
+      let condition_name = Value.to_str (get C.a_condition)
+      and action_name = Value.to_str (get C.a_action) in
       let rule =
         build_runtime t ~oid
           ~name:(Value.to_str (get C.a_name))
@@ -974,8 +982,9 @@ let rehydrate t =
             (Error_policy.of_string
                (Value.to_str (get_or C.a_policy (Value.Str "propagate"))))
           ~max_retries:(Value.to_int (get_or C.a_max_retries (Value.Int 0)))
-          ~condition_name:(Value.to_str (get C.a_condition))
-          ~action_name:(Value.to_str (get C.a_action))
+          ~condition_name ~action_name
+          ~condition:(Function_registry.find_condition t.sys_registry condition_name)
+          ~action:(Function_registry.find_action t.sys_registry action_name)
       in
       rule.Rule.fired <- Value.to_int (get C.a_fired);
       rule.Rule.failure_streak <-

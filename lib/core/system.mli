@@ -138,6 +138,9 @@ val register_action :
 (** [may_send] feeds the static triggering-graph analysis; see
     {!Function_registry.register_action}. *)
 
+val unregister_action : t -> string -> unit
+(** {!Function_registry.unregister_action} on this system's registry. *)
+
 (** {1 Event objects} *)
 
 val create_event : t -> ?name:string -> Expr.t -> Oid.t
@@ -211,8 +214,10 @@ val reinstate : t -> Oid.t -> unit
     @raise Errors.Type_error for OIDs without a rule runtime. *)
 
 val delete_rule : t -> Oid.t -> unit
-(** Remove the rule object and its runtime.  Stale subscriptions pointing at
-    the deleted OID are ignored at delivery time. *)
+(** Remove the rule object, its runtime and every instance- and class-level
+    subscription it holds ({!Db.unsubscribe_all}).  Inside a transaction, a
+    rollback restores all three; outside one, each step autocommits, as
+    {!create_rule}'s do. *)
 
 val set_priority : t -> Oid.t -> int -> unit
 

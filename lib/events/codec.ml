@@ -13,7 +13,6 @@ let name_chars =
     | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' | '.' -> true
     | _ -> false)
 
-let escape s = Oodb.Persist.escape_with name_chars s
 let add_escaped buf s = Oodb.Persist.add_escaped name_chars buf s
 let unescape t = Oodb.Persist.unescape_sub t 0 (String.length t)
 
@@ -26,43 +25,83 @@ let add_params buf params =
       add_escaped buf (Oodb.Persist.encode_value v))
     params
 
-let rec encode (e : Expr.t) =
+(* Written straight into one buffer: a rule's creation encodes its event,
+   so this sits on the rule-management path. *)
+let rec add_expr buf (e : Expr.t) =
+  let str = Buffer.add_string buf and chr = Buffer.add_char buf in
+  let int n = str (string_of_int n) in
+  let args name es =
+    str name;
+    chr '(';
+    List.iteri
+      (fun i e ->
+        if i > 0 then chr ',';
+        add_expr buf e)
+      es;
+    chr ')'
+  in
   match e with
   | Prim p ->
-    let sources =
-      Oid.Set.elements p.p_sources
-      |> List.map (fun o -> string_of_int (Oid.to_int o))
-      |> String.concat ";"
-    in
-    let filters =
-      List.map
-        (fun (f : Expr.param_filter) ->
-          Printf.sprintf "%d~%s~%s" f.pf_index
-            (Expr.cmp_to_string f.pf_cmp)
-            (escape (Oodb.Persist.encode_value f.pf_value)))
-        p.p_filters
-      |> String.concat ";"
-    in
-    Printf.sprintf "prim(%s,%s,%s,%s,%s)"
-      (Occurrence.modifier_to_string p.p_modifier)
-      (match p.p_class with Some c -> escape c | None -> "")
-      (escape p.p_meth) sources filters
-  | And (a, b) -> Printf.sprintf "and(%s,%s)" (encode a) (encode b)
-  | Or (a, b) -> Printf.sprintf "or(%s,%s)" (encode a) (encode b)
-  | Seq (a, b) -> Printf.sprintf "seq(%s,%s)" (encode a) (encode b)
+    str "prim(";
+    str (Occurrence.modifier_to_string p.p_modifier);
+    chr ',';
+    (match p.p_class with Some c -> add_escaped buf c | None -> ());
+    chr ',';
+    add_escaped buf p.p_meth;
+    chr ',';
+    List.iteri
+      (fun i o ->
+        if i > 0 then chr ';';
+        int (Oid.to_int o))
+      (Oid.Set.elements p.p_sources);
+    chr ',';
+    List.iteri
+      (fun i (f : Expr.param_filter) ->
+        if i > 0 then chr ';';
+        int f.pf_index;
+        chr '~';
+        str (Expr.cmp_to_string f.pf_cmp);
+        chr '~';
+        add_escaped buf (Oodb.Persist.encode_value f.pf_value))
+      p.p_filters;
+    chr ')'
+  | And (a, b) -> args "and" [ a; b ]
+  | Or (a, b) -> args "or" [ a; b ]
+  | Seq (a, b) -> args "seq" [ a; b ]
   | Any (m, es) ->
-    Printf.sprintf "any(%d,%s)" m (String.concat "," (List.map encode es))
-  | Not (a, b, c) ->
-    Printf.sprintf "not(%s,%s,%s)" (encode a) (encode b) (encode c)
-  | Aperiodic (a, b, c) ->
-    Printf.sprintf "ap(%s,%s,%s)" (encode a) (encode b) (encode c)
-  | Aperiodic_star (a, b, c) ->
-    Printf.sprintf "apstar(%s,%s,%s)" (encode a) (encode b) (encode c)
+    str "any(";
+    int m;
+    chr ',';
+    List.iteri
+      (fun i e ->
+        if i > 0 then chr ',';
+        add_expr buf e)
+      es;
+    chr ')'
+  | Not (a, b, c) -> args "not" [ a; b; c ]
+  | Aperiodic (a, b, c) -> args "ap" [ a; b; c ]
+  | Aperiodic_star (a, b, c) -> args "apstar" [ a; b; c ]
   | Periodic (a, dt, limit, b) ->
-    Printf.sprintf "per(%s,%d,%s,%s)" (encode a) dt
-      (match limit with Some l -> string_of_int l | None -> "-")
-      (encode b)
-  | Plus (a, dt) -> Printf.sprintf "plus(%s,%d)" (encode a) dt
+    str "per(";
+    add_expr buf a;
+    chr ',';
+    int dt;
+    chr ',';
+    (match limit with Some l -> int l | None -> chr '-');
+    chr ',';
+    add_expr buf b;
+    chr ')'
+  | Plus (a, dt) ->
+    str "plus(";
+    add_expr buf a;
+    chr ',';
+    int dt;
+    chr ')'
+
+let encode e =
+  let buf = Buffer.create 64 in
+  add_expr buf e;
+  Buffer.contents buf
 
 exception Bad of string
 

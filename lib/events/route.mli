@@ -35,7 +35,8 @@ type t
 
 type counters = {
   mutable candidates_probed : int;
-      (** bucket entries examined across all deliveries *)
+      (** live bucket entries examined across all deliveries; tombstones
+          are not counted *)
   mutable leaves_offered : int;
       (** candidates that passed every check and were offered *)
   mutable index_hits : int;  (** deliveries whose key had a bucket *)
@@ -44,6 +45,9 @@ type counters = {
   mutable coalesced_probes : int;
       (** index probes skipped by batch route-key coalescing: deliveries in
           a batch whose key's candidate list was already resolved *)
+  mutable tombstones_skipped : int;
+      (** entries of unregistered consumers that deliveries passed over
+          before their bucket was rebuilt (see {!unregister}) *)
 }
 
 val create : Db.t -> t
@@ -70,7 +74,17 @@ val register_wildcard :
 
 val unregister : t -> Oid.t -> unit
 (** Drop the consumer's leaves (and/or wildcard handler) from the index.
-    No-op for unknown consumers. *)
+    No-op for unknown consumers.
+
+    Costs O(the consumer's own leaves), whatever the size of the buckets
+    they sit in: each entry is marked dead (a tombstone) and its bucket's
+    live and dead counts are updated, without walking the bucket.  A bucket
+    left with no live entry leaves the index at once.  Tombstones are
+    dropped when the bucket's ordered candidate list is next rebuilt: after
+    any {!register} into that bucket, or once its tombstones outnumber its
+    live entries.  Until then a delivery skips each tombstone with one flag
+    test ({!counters}[.tombstones_skipped]); [candidates_probed] and
+    {!leaf_count} count live entries only. *)
 
 val registered : t -> Oid.t -> bool
 
@@ -104,7 +118,7 @@ val counters : t -> counters
 val reset_counters : t -> unit
 
 val leaf_count : t -> int
-(** Total leaf entries currently indexed. *)
+(** Live leaf entries currently indexed (tombstones excluded). *)
 
 val reg_count : t -> int
 (** Registered consumers (detectors plus wildcards). *)

@@ -31,9 +31,10 @@ type stats = {
   errors_sent : int;
 }
 
-(* A subscription: its wire id and the per-shard rule OIDs its registration
-   created, in shard index order. *)
-type sub = { sub_id : int; sub_rules : Oodb.Oid.t list }
+(* A subscription: its wire id, the action it registered on every shard,
+   and the per-shard rule OIDs its registration created, in shard index
+   order.  The action and the rules go when the subscription does. *)
+type sub = { sub_id : int; sub_action : string; sub_rules : Oodb.Oid.t list }
 
 type conn = {
   c_id : int;
@@ -371,10 +372,10 @@ let handle_send_many t conn ~trace ~events =
     enqueue_control t conn (Frame.Err { code = Frame.err_request; msg = m })
   | batch ->
     let n = List.length batch in
+    (* the frame's trace rides on the shard jobs: wrapping this blocking
+       wait in [with_trace] would lend it to every thread of the domain *)
     let result =
-      with_engine t (fun () ->
-          Obs.Trace.with_trace trace (fun () ->
-              Shard_pool.ingest ~wait:true t.s_pool batch))
+      with_engine t (fun () -> Shard_pool.ingest ~wait:true ~trace t.s_pool batch)
     in
     (match result with
     | Ok () ->
@@ -407,8 +408,8 @@ let handle_subscribe t conn ~name ~classes ~expr =
       (* the action name doubles as the rule-name prefix so a failed
          registration can be rolled back by name on the shards it reached.
          The process-wide sequence keeps names unique across server
-         instances sharing one pool: actions cannot be unregistered, so a
-         reused (conn, sub) pair must not collide with a dead server's. *)
+         instances sharing one pool, so a reused (conn, sub) pair never
+         collides with a subscription another server still holds. *)
       let action =
         Printf.sprintf "__net.%d.c%d.s%d"
           (Atomic.fetch_and_add action_seq 1)
@@ -425,7 +426,8 @@ let handle_subscribe t conn ~name ~classes ~expr =
       match with_engine t (fun () -> register ()) with
       | Ok rules ->
         Mutex.lock conn.c_mu;
-        conn.c_subs <- { sub_id; sub_rules = rules } :: conn.c_subs;
+        conn.c_subs <-
+          { sub_id; sub_action = action; sub_rules = rules } :: conn.c_subs;
         Mutex.unlock conn.c_mu;
         Atomic.incr t.s_subs_active;
         enqueue_control t conn (Frame.Sub_ack { sub_id })
@@ -434,20 +436,24 @@ let handle_subscribe t conn ~name ~classes ~expr =
         ignore
           (with_engine t (fun () ->
                Shard_pool.each t.s_pool (fun _i sys ->
-                   match System.find_rule sys rule_name with
+                   (match System.find_rule sys rule_name with
                    | Some oid -> System.delete_rule sys oid
-                   | None -> ())));
+                   | None -> ());
+                   System.unregister_action sys action)));
         enqueue_control t conn (pool_error_frame exn)
     end
 
+(* Unsubscribe and connection cleanup both end here: the rule and the
+   action holding a closure over the connection leave every shard. *)
 let delete_sub t sub =
   (* best effort: the pool may already be stopped or degraded *)
   ignore
     (with_engine t (fun () ->
          Shard_pool.each t.s_pool (fun i sys ->
-             match List.nth_opt sub.sub_rules i with
+             (match List.nth_opt sub.sub_rules i with
              | Some oid -> ( try System.delete_rule sys oid with _ -> ())
-             | None -> ())))
+             | None -> ());
+             System.unregister_action sys sub.sub_action)))
 
 let handle_unsubscribe t conn ~sub_id =
   Mutex.lock conn.c_mu;

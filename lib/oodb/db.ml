@@ -20,6 +20,7 @@ let create ?(layout = `Slots) () =
     extents = Hashtbl.create 64;
     class_info = Hashtbl.create 64;
     class_consumers = Hashtbl.create 16;
+    subscriptions = Oid.Table.create 64;
     indexes = Hashtbl.create 16;
     txns = [];
     notify = (fun _ ~consumer:_ _ -> ());
@@ -143,6 +144,7 @@ let compute_info db (c : class_def) =
       ly_by_sym;
       ly_ix_stamp = -1;
       ly_covering = Array.make n [];
+      ly_covered = false;
     }
   in
   (* Dispatch cache: implementation, effective interface entry and interned
@@ -158,7 +160,14 @@ let compute_info db (c : class_def) =
           de_sym = Symbol.intern m;
         })
     (Schema.methods_of db c.cname);
-  { ri_reactive; ri_ancestry; ri_iface; ri_layout; ri_dispatch }
+  {
+    ri_reactive;
+    ri_ancestry;
+    ri_iface;
+    ri_layout;
+    ri_dispatch;
+    ri_extent = Heap.extent_table db c.cname;
+  }
 
 let define_class db (c : class_def) =
   if Hashtbl.mem db.classes c.cname then raise (Errors.Duplicate_class c.cname);
@@ -191,11 +200,28 @@ let has_class db name = Hashtbl.mem db.classes name
 let new_object db ?(attrs = []) cls =
   let info = info db cls in
   let o = Heap.make_obj db ~id:(Oid.of_int 0) ~cls ~info ~seed:`Defaults ~consumers:[] in
-  let put (name, v) =
-    (* the declared attribute set is exactly what `Defaults seeded *)
-    match Heap.obj_get o name with
-    | None -> raise (Errors.No_such_attribute (cls, name))
-    | Some _ -> Heap.store_put_raw o name v
+  (* the declared attribute set is exactly what `Defaults seeded: each name
+     resolves to its slot once, by position when [attrs] follows the layout
+     (as System's rule and event objects do), by hash otherwise *)
+  let put =
+    match o.store with
+    | S_slots slots ->
+      let names = info.ri_layout.ly_names in
+      let next = ref 0 in
+      fun (name, v) ->
+        let i =
+          if !next < Array.length names && String.equal names.(!next) name then !next
+          else
+            match Hashtbl.find_opt info.ri_layout.ly_by_name name with
+            | Some i -> i
+            | None -> raise (Errors.No_such_attribute (cls, name))
+        in
+        slots.(i) <- v;
+        next := i + 1
+    | S_table tbl ->
+      fun (name, v) ->
+        if Hashtbl.mem tbl name then Hashtbl.replace tbl name v
+        else raise (Errors.No_such_attribute (cls, name))
   in
   List.iter put attrs;
   let id = Oid.of_int db.next_oid in
@@ -203,7 +229,9 @@ let new_object db ?(attrs = []) cls =
   let o = { o with id } in
   Heap.insert_obj db o;
   Transaction.log_undo db (U_created id);
-  journal db (J_mutation (M_create (id, cls, Heap.sorted_attrs o)));
+  (match db.on_journal with
+  | None -> ()
+  | Some f -> f (J_mutation (M_create (id, cls, Heap.sorted_attrs o))));
   id
 
 (* Align the allocator to the shard's residue class.  Called at shard setup
@@ -392,18 +420,28 @@ let subscribe db ~reactive ~consumer =
   let o = Heap.find_obj db reactive in
   if not (List.exists (Oid.equal consumer) o.consumers) then begin
     Transaction.log_undo db (U_consumers (reactive, o.consumers));
+    Transaction.log_undo db
+      (U_runtime (fun () -> Heap.forget_subscription db ~reactive ~consumer));
     o.consumers <- consumer :: o.consumers;
+    Heap.note_subscription db ~reactive ~consumer;
     Heap.mark_dirty db o;
     journal db (J_mutation (M_subscribe (reactive, consumer)))
   end
 
+(* Take [consumer] off [o]'s list; the caller keeps the reverse index. *)
+let drop_consumer db (o : obj) consumer =
+  Transaction.log_undo db (U_consumers (o.id, o.consumers));
+  o.consumers <- List.filter (fun c -> not (Oid.equal c consumer)) o.consumers;
+  Heap.mark_dirty db o;
+  journal db (J_mutation (M_unsubscribe (o.id, consumer)))
+
 let unsubscribe db ~reactive ~consumer =
   let o = Heap.find_obj db reactive in
   if List.exists (Oid.equal consumer) o.consumers then begin
-    Transaction.log_undo db (U_consumers (reactive, o.consumers));
-    o.consumers <- List.filter (fun c -> not (Oid.equal c consumer)) o.consumers;
-    Heap.mark_dirty db o;
-    journal db (J_mutation (M_unsubscribe (reactive, consumer)))
+    Transaction.log_undo db
+      (U_runtime (fun () -> Heap.note_subscription db ~reactive ~consumer));
+    drop_consumer db o consumer;
+    Heap.forget_subscription db ~reactive ~consumer
   end
 
 let consumers_of db oid = List.rev (Heap.find_obj db oid).consumers
@@ -418,20 +456,48 @@ let subscribe_class db ~cls ~consumer =
   let old = raw_class_consumers db cls in
   if not (List.exists (Oid.equal consumer) old) then begin
     Transaction.log_undo db (U_class_consumers (cls, old));
+    Transaction.log_undo db
+      (U_runtime (fun () -> Heap.forget_class_subscription db ~cls ~consumer));
     Hashtbl.replace db.class_consumers cls (consumer :: old);
+    Heap.note_class_subscription db ~cls ~consumer;
     bump_class_sub_gen db;
     journal db (J_mutation (M_subscribe_class (cls, consumer)))
   end
 
+let drop_class_consumer db cls old consumer =
+  Transaction.log_undo db (U_class_consumers (cls, old));
+  Hashtbl.replace db.class_consumers cls
+    (List.filter (fun c -> not (Oid.equal c consumer)) old);
+  bump_class_sub_gen db;
+  journal db (J_mutation (M_unsubscribe_class (cls, consumer)))
+
 let unsubscribe_class db ~cls ~consumer =
   let old = raw_class_consumers db cls in
   if List.exists (Oid.equal consumer) old then begin
-    Transaction.log_undo db (U_class_consumers (cls, old));
-    Hashtbl.replace db.class_consumers cls
-      (List.filter (fun c -> not (Oid.equal c consumer)) old);
-    bump_class_sub_gen db;
-    journal db (J_mutation (M_unsubscribe_class (cls, consumer)))
+    Transaction.log_undo db
+      (U_runtime (fun () -> Heap.note_class_subscription db ~cls ~consumer));
+    drop_class_consumer db cls old consumer;
+    Heap.forget_class_subscription db ~cls ~consumer
   end
+
+(* Retire a consumer from every object and class it is subscribed to.  Its
+   reverse-index entry leaves whole (one undo record puts it back); each
+   list edit is an ordinary unsubscription, undo-logged and journaled, so a
+   rollback restores them and WAL replay reaches the same state.  Cost: the
+   consumer's own subscriptions, never a heap or class-list scan. *)
+let unsubscribe_all db ~consumer =
+  match Oid.Table.find_opt db.subscriptions consumer with
+  | None -> ()
+  | Some subs ->
+    Oid.Table.remove db.subscriptions consumer;
+    Transaction.log_undo db
+      (U_runtime (fun () -> Oid.Table.replace db.subscriptions consumer subs));
+    Oid.Table.fold (fun r () acc -> r :: acc) subs.sb_objects []
+    |> List.sort Oid.compare
+    |> List.iter (fun r -> drop_consumer db (Heap.find_obj db r) consumer);
+    List.sort String.compare subs.sb_classes
+    |> List.iter (fun cls ->
+           drop_class_consumer db cls (raw_class_consumers db cls) consumer)
 
 let set_notify db f = db.notify <- f
 let set_route db f = db.route <- f

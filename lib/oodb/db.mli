@@ -140,6 +140,13 @@ val subscribe_class : t -> cls:string -> consumer:Oid.t -> unit
 val unsubscribe_class : t -> cls:string -> consumer:Oid.t -> unit
 val class_consumers_of : t -> string -> Oid.t list
 
+val unsubscribe_all : t -> consumer:Oid.t -> unit
+(** Remove [consumer] from the consumers list of every live object and of
+    every class it is on, as ordinary {!unsubscribe}/{!unsubscribe_class}
+    calls: undo-logged and journaled, so a rollback restores them and WAL
+    replay reaches the same state.  Finds its instance subscriptions through
+    a reverse index rather than a heap scan. *)
+
 val set_notify : t -> (t -> consumer:Oid.t -> Types.occurrence -> unit) -> unit
 (** Install the delivery hook used for subscribed consumers. *)
 

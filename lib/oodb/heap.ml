@@ -35,9 +35,6 @@ let extent_table db cls =
     Hashtbl.replace db.extents cls t;
     t
 
-let add_to_extent db cls oid = Oid.Table.replace (extent_table db cls) oid ()
-let remove_from_extent db cls oid = Oid.Table.remove (extent_table db cls) oid
-
 (* All indexes that cover attribute [attr] of an instance whose runtime class
    is [cls]: an index declared on (C, a) covers instances of C and of every
    subclass of C. *)
@@ -48,13 +45,15 @@ let covering_indexes db cls attr =
 
 (* Slot-mode covering lookup: cached per layout slot, refreshed when the
    database's index generation moved. *)
+let refresh_covering db (ly : layout) =
+  Array.iteri
+    (fun j name -> ly.ly_covering.(j) <- covering_indexes db ly.ly_class name)
+    ly.ly_names;
+  ly.ly_covered <- Array.exists (fun ixs -> ixs <> []) ly.ly_covering;
+  ly.ly_ix_stamp <- db.index_gen
+
 let covering_of_slot db (ly : layout) i =
-  if ly.ly_ix_stamp <> db.index_gen then begin
-    Array.iteri
-      (fun j name -> ly.ly_covering.(j) <- covering_indexes db ly.ly_class name)
-      ly.ly_names;
-    ly.ly_ix_stamp <- db.index_gen
-  end;
+  if ly.ly_ix_stamp <> db.index_gen then refresh_covering db ly;
   Array.unsafe_get ly.ly_covering i
 
 let index_remove ix v oid =
@@ -235,31 +234,88 @@ let raw_set_attr db (o : obj) name v =
     | None -> Hashtbl.remove tbl name);
     old
 
-let index_all_attrs db o =
-  iter_attrs
-    (fun name v ->
-      List.iter (fun ix -> index_add ix v o.id) (covering_indexes db o.cls name))
-    o
+(* Add ([index_add]) or remove ([index_remove]) every present attribute of
+   [o] to or from the indexes covering it.  Slot objects read the covering
+   lists from their layout's per-slot cache, as [raw_set_slot] does, so an
+   object create or delete hashes nothing, and walks no slot when no index
+   covers its class. *)
+let reindex_all_attrs op db (o : obj) =
+  match o.store with
+  | S_slots slots ->
+    let ly = layout_of o in
+    if ly.ly_ix_stamp <> db.index_gen then refresh_covering db ly;
+    if ly.ly_covered then
+      for i = 0 to Array.length slots - 1 do
+        let v = Array.unsafe_get slots i in
+        if v != absent then
+          match Array.unsafe_get ly.ly_covering i with
+          | [] -> ()
+          | ixs -> List.iter (fun ix -> op ix v o.id) ixs
+      done
+  | S_table tbl ->
+    Hashtbl.iter
+      (fun name v ->
+        List.iter (fun ix -> op ix v o.id) (covering_indexes db o.cls name))
+      tbl
 
-let unindex_all_attrs db o =
-  iter_attrs
-    (fun name v ->
-      List.iter
-        (fun ix -> index_remove ix v o.id)
-        (covering_indexes db o.cls name))
-    o
+(* --- subscription reverse index -------------------------------------------- *)
+
+let subscriptions_of db consumer =
+  match Oid.Table.find_opt db.subscriptions consumer with
+  | Some s -> s
+  | None ->
+    let s = { sb_objects = Oid.Table.create 1; sb_classes = [] } in
+    Oid.Table.replace db.subscriptions consumer s;
+    s
+
+let drop_if_empty db consumer s =
+  if s.sb_classes = [] && Oid.Table.length s.sb_objects = 0 then
+    Oid.Table.remove db.subscriptions consumer
+
+let note_subscription db ~reactive ~consumer =
+  Oid.Table.replace (subscriptions_of db consumer).sb_objects reactive ()
+
+let forget_subscription db ~reactive ~consumer =
+  match Oid.Table.find_opt db.subscriptions consumer with
+  | None -> ()
+  | Some s ->
+    Oid.Table.remove s.sb_objects reactive;
+    drop_if_empty db consumer s
+
+let note_class_subscription db ~cls ~consumer =
+  let s = subscriptions_of db consumer in
+  if not (List.mem cls s.sb_classes) then s.sb_classes <- cls :: s.sb_classes
+
+let forget_class_subscription db ~cls ~consumer =
+  match Oid.Table.find_opt db.subscriptions consumer with
+  | None -> ()
+  | Some s ->
+    s.sb_classes <- List.filter (fun c -> not (String.equal c cls)) s.sb_classes;
+    drop_if_empty db consumer s
+
+(* Replace a class's consumer list wholesale (snapshot loading), keeping the
+   reverse index in step. *)
+let set_class_consumers db cls consumers =
+  (match Hashtbl.find_opt db.class_consumers cls with
+  | Some old -> List.iter (fun consumer -> forget_class_subscription db ~cls ~consumer) old
+  | None -> ());
+  List.iter (fun consumer -> note_class_subscription db ~cls ~consumer) consumers;
+  if consumers = [] then Hashtbl.remove db.class_consumers cls
+  else Hashtbl.replace db.class_consumers cls consumers
 
 let insert_obj db o =
+  List.iter (fun consumer -> note_subscription db ~reactive:o.id ~consumer) o.consumers;
   Oid.Table.replace db.objects o.id o;
-  add_to_extent db o.cls o.id;
-  index_all_attrs db o;
+  Oid.Table.replace o.info.ri_extent o.id ();
+  reindex_all_attrs index_add db o;
   mark_dirty db o;
   (* undo of a delete resurrects the OID: it is live again, not dead *)
   Oid.Table.remove db.dirty_dead o.id
 
 let remove_obj db o =
-  unindex_all_attrs db o;
-  remove_from_extent db o.cls o.id;
+  List.iter (fun consumer -> forget_subscription db ~reactive:o.id ~consumer) o.consumers;
+  reindex_all_attrs index_remove db o;
+  Oid.Table.remove o.info.ri_extent o.id;
   Oid.Table.remove db.objects o.id;
   Oid.Table.remove db.dirty o.id;
   o.dirty_gen <- 0;

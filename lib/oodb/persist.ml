@@ -425,7 +425,7 @@ let read db read_line =
         toplevel ()
       | "classcons" :: cls :: oids ->
         if not (Db.has_class db cls) then raise (Errors.No_such_class cls);
-        Hashtbl.replace db.class_consumers cls (List.map parse_oid oids);
+        Heap.set_class_consumers db cls (List.map parse_oid oids);
         toplevel ()
       | [ "index"; cls; attr ] ->
         pending_indexes := (cls, attr, `Hash) :: !pending_indexes;
@@ -635,9 +635,10 @@ let apply_delta ?(storage = Storage.unix) db path =
         | _ -> fail "bad delta magic");
         toplevel ();
         (* full-replacement sections *)
-        Hashtbl.reset db.class_consumers;
+        Hashtbl.fold (fun cls _ acc -> cls :: acc) db.class_consumers []
+        |> List.iter (fun cls -> Heap.set_class_consumers db cls []);
         List.iter
-          (fun (cls, oids) -> Hashtbl.replace db.class_consumers cls oids)
+          (fun (cls, oids) -> Heap.set_class_consumers db cls oids)
           !classcons;
         db.class_sub_gen <- db.class_sub_gen + 1;
         let current =

@@ -106,6 +106,9 @@ and layout = {
      the stamp trails db.index_gen. *)
   mutable ly_ix_stamp : int;
   ly_covering : index list array;
+  (* some slot has a covering index: object insert/remove skip the slot
+     walk when not; refreshed with [ly_covering] *)
+  mutable ly_covered : bool;
 }
 
 (* Attribute storage.  [S_slots] is the compiled representation: a flat
@@ -116,6 +119,13 @@ and layout = {
 and attr_store =
   | S_slots of Value.t array
   | S_table of (string, Value.t) Hashtbl.t
+
+(* One consumer's subscriptions: the live objects whose [consumers] list
+   holds it, and the classes whose class-level list does. *)
+and subscriptions = {
+  sb_objects : unit Oid.Table.t;
+  mutable sb_classes : string list;
+}
 
 and obj = {
   id : Oid.t;
@@ -155,6 +165,10 @@ and class_info = {
   ri_iface : (string, interface_entry) Hashtbl.t;
   ri_layout : layout;
   ri_dispatch : (string, dispatch_entry) Hashtbl.t;
+  (* The class's direct extent — the db.extents entry, which is created
+     once per class name and never replaced — so object insert/remove skip
+     the by-name lookup. *)
+  ri_extent : unit Oid.Table.t;
 }
 
 (* Logical mutations, as reported to an attached journal (Wal).  These are
@@ -242,6 +256,11 @@ and db = {
      instances, paper §4.7).  Stored newest-first; subscription order is
      recovered by reversing (Db.class_consumers_of). *)
   class_consumers : (string, Oid.t list) Hashtbl.t;
+  (* The reverse of [obj.consumers] and [class_consumers]: consumer -> what
+     it is subscribed to.  Kept by Heap (object insert/remove, snapshot
+     loads) and Db.(un)subscribe*, undo included, so retiring a consumer
+     (Db.unsubscribe_all) visits only its own subscriptions. *)
+  subscriptions : subscriptions Oid.Table.t;
   indexes : (string * string, index) Hashtbl.t;
   mutable txns : txn list; (* stack, innermost first *)
   (* Delivery hook installed by the rule layer: called once per (occurrence,

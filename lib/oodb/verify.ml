@@ -73,6 +73,36 @@ let check ?(quiescent = false) (db : Db.t) =
         extent)
     db.extents;
 
+  (* the subscription reverse index is exactly the consumer lists, reversed *)
+  let listed = Hashtbl.create 64 in
+  Oid.Table.iter
+    (fun oid (o : obj) ->
+      List.iter (fun c -> Hashtbl.replace listed (c, `Obj oid) ()) o.consumers)
+    db.objects;
+  Hashtbl.iter
+    (fun cls cs -> List.iter (fun c -> Hashtbl.replace listed (c, `Cls cls) ()) cs)
+    db.class_consumers;
+  let indexed = Hashtbl.create 64 in
+  Oid.Table.iter
+    (fun c sb ->
+      Oid.Table.iter (fun oid () -> Hashtbl.replace indexed (c, `Obj oid) ()) sb.sb_objects;
+      List.iter (fun cls -> Hashtbl.replace indexed (c, `Cls cls) ()) sb.sb_classes)
+    db.subscriptions;
+  let describe (c, target) =
+    Printf.sprintf "%s on %s" (Oid.to_string c)
+      (match target with `Obj oid -> Oid.to_string oid | `Cls cls -> "class " ^ cls)
+  in
+  Hashtbl.iter
+    (fun k () ->
+      if not (Hashtbl.mem indexed k) then
+        complain "subscription %s missing from the reverse index" (describe k))
+    listed;
+  Hashtbl.iter
+    (fun k () ->
+      if not (Hashtbl.mem listed k) then
+        complain "reverse index holds stale subscription %s" (describe k))
+    indexed;
+
   (* indexes agree with the data *)
   Hashtbl.iter
     (fun (cls, attr) ix ->

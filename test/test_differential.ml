@@ -266,10 +266,176 @@ let test_routing_concrete () =
         (List.exists (fun (t, _, _) -> t > 0) pi))
     Context.all
 
+(* --- rule churn under both routings ----------------------------------------- *)
+
+(* 2,000 sends with rule churn: every 20th event is a get_salary whose
+   class-level "churner" rule retires the oldest rule and creates a new one
+   from inside delivery, so deletes and creates land mid-batch when the
+   stream goes through System.ingest (every other run of 100 events) and
+   between single sends otherwise.  Per-rule triggered and fired counts,
+   retired rules included, must not depend on the routing. *)
+let churn_run routing =
+  let db = employee_db () in
+  let sys = System.create ~routing ~retry_backoff:(fun _ -> ()) db in
+  let rng = Prng.create 2024 in
+  let objs = build_population db rng in
+  System.register_action sys "noop" (fun _ _ -> ());
+  let live = Queue.create () and retired = ref [] and made = ref 0 in
+  let create () =
+    incr made;
+    let name = Printf.sprintf "churn-%d" !made in
+    let o = Prng.choice rng objs in
+    let set = Expr.eom ~cls:"employee" "set_salary"
+    and income = Expr.eom ~cls:"employee" "change_income" in
+    let rule ?monitor ?monitor_classes event =
+      System.create_rule sys ~name ?monitor ?monitor_classes ~event ~condition:"true"
+        ~action:"noop" ()
+    in
+    Queue.push
+      (match Prng.int rng 3 with
+      | 0 -> rule ~monitor:[ o ] set
+      | 1 -> rule ~monitor_classes:[ "employee" ] (Expr.seq set income)
+      | _ ->
+        rule ~monitor:[ o; Prng.choice rng objs ]
+          (Expr.conj set (Expr.prim ~cls:"employee" Oodb.Types.Before "get_age")))
+      live
+  in
+  let counts oid =
+    let r = System.rule_info sys oid in
+    (r.Sentinel.Rule.name, r.Sentinel.Rule.triggered, r.Sentinel.Rule.fired)
+  in
+  System.register_action sys "churn" (fun _ _ ->
+      let old = Queue.pop live in
+      retired := (old, counts old) :: !retired;
+      System.delete_rule sys old;
+      create ());
+  let churner =
+    System.create_rule sys ~name:"churner" ~monitor_classes:[ "employee" ]
+      ~event:(Expr.eom ~cls:"employee" "get_salary")
+      ~condition:"true" ~action:"churn" ()
+  in
+  for _ = 1 to 40 do
+    create ()
+  done;
+  let event k =
+    let o = Prng.choice rng objs in
+    if k mod 20 = 19 then (o, "get_salary", [])
+    else
+      match Prng.int rng 3 with
+      | 0 -> (o, "set_salary", [ Value.Float (Prng.float rng 100.) ])
+      | 1 -> (o, "change_income", [ Value.Float (Prng.float rng 100.) ])
+      | _ -> (o, "get_age", [])
+  in
+  let events = List.init 2000 event in
+  List.iteri
+    (fun chunk evs ->
+      if chunk mod 2 = 0 then
+        List.iter (fun (o, m, args) -> ignore (Db.send db o m args)) evs
+      else
+        match System.ingest sys evs with Ok _ -> () | Error e -> raise e)
+    (List.init 20 (fun c -> List.filteri (fun i _ -> i / 100 = c) events));
+  let per_rule =
+    List.map counts (churner :: List.of_seq (Queue.to_seq live))
+    @ List.map snd !retired
+    |> List.sort compare
+  in
+  (* no consumer list names a retired rule *)
+  let gone = List.map fst !retired in
+  let stale =
+    List.filter (fun c -> List.mem c gone)
+      (Db.class_consumers_of db "employee"
+      @ List.concat_map (Db.consumers_of db) (Array.to_list objs))
+  in
+  (per_rule, List.length gone, stale, Oodb.Verify.check db)
+
+let test_routing_churn () =
+  let pi, ni, si, vi = churn_run System.Indexed
+  and pb, nb, sb, vb = churn_run System.Broadcast in
+  Alcotest.(check int) "a delete and a create every 20 sends" 100 ni;
+  Alcotest.(check int) "same churn under broadcast" ni nb;
+  Alcotest.(check bool) "per-rule triggered and fired counts agree" true (pi = pb);
+  Alcotest.(check bool) "workload non-trivial" true
+    (List.exists (fun (_, _, f) -> f > 0) pi);
+  Alcotest.(check (list oid)) "retired rules unsubscribed (indexed)" [] si;
+  Alcotest.(check (list oid)) "retired rules unsubscribed (broadcast)" [] sb;
+  Alcotest.(check bool) "integrity" true (vi = Ok () && vb = Ok ())
+
+(* --- index upkeep on create and delete ----------------------------------------- *)
+
+let index_pairs db ~cls ~attr =
+  let ix = Hashtbl.find db.Oodb.Types.indexes (cls, attr) in
+  (match ix.Oodb.Types.ix_backing with
+  | Oodb.Types.Ix_hash entries ->
+    Hashtbl.fold
+      (fun v bucket acc -> Oid.Table.fold (fun o () acc -> (v, o) :: acc) bucket acc)
+      entries []
+  | Oodb.Types.Ix_ordered tree ->
+    let acc = ref [] in
+    Oodb.Btree.iter tree (fun v os -> List.iter (fun o -> acc := (v, o) :: !acc) os);
+    !acc)
+  |> List.sort compare
+
+(* 1,000 creates and deletes of employees and managers (some rolled back)
+   under hash and ordered indexes declared on the superclass, with a third
+   index created midway: every index must equal a fresh rebuild. *)
+let test_index_upkeep () =
+  let db = employee_db () in
+  Db.create_index db ~kind:`Hash ~cls:"employee" ~attr:"salary" ();
+  Db.create_index db ~kind:`Ordered ~cls:"employee" ~attr:"age" ();
+  let rng = Prng.create 31 in
+  let live = ref [] in
+  let create () =
+    let cls = if Prng.int rng 2 = 0 then "employee" else "manager" in
+    Db.new_object db cls
+      ~attrs:
+        [
+          ("age", Value.Int (20 + Prng.int rng 10));
+          ("salary", Value.Float (float_of_int (Prng.int rng 7)));
+          ("income", Value.Float (float_of_int (Prng.int rng 5)));
+        ]
+  in
+  let indexes = ref [ ("salary", `Hash); ("age", `Ordered) ] in
+  for step = 1 to 1000 do
+    if step = 500 then begin
+      Db.create_index db ~kind:`Ordered ~cls:"employee" ~attr:"income" ();
+      indexes := ("income", `Ordered) :: !indexes
+    end;
+    let n = List.length !live in
+    match Prng.int rng 5 with
+    | 0 when n > 0 ->
+      let o = List.nth !live (Prng.int rng n) in
+      Db.delete_object db o;
+      live := List.filter (fun x -> not (Oid.equal x o)) !live
+    | 1 when n > 0 ->
+      (* a rolled-back create and delete: both undo paths re-index *)
+      let o = List.nth !live (Prng.int rng n) in
+      Transaction.begin_ db;
+      ignore (create ());
+      Db.delete_object db o;
+      Transaction.abort db
+    | 2 when n > 0 ->
+      Db.set db (List.nth !live (Prng.int rng n)) "salary"
+        (Value.Float (float_of_int (Prng.int rng 7)))
+    | _ -> live := create () :: !live
+  done;
+  List.iter
+    (fun (attr, kind) ->
+      let maintained = index_pairs db ~cls:"employee" ~attr in
+      Db.drop_index db ~cls:"employee" ~attr;
+      Db.create_index db ~kind ~cls:"employee" ~attr ();
+      let rebuilt = index_pairs db ~cls:"employee" ~attr in
+      Alcotest.(check int) (attr ^ ": entry count") (List.length rebuilt)
+        (List.length maintained);
+      Alcotest.(check bool) (attr ^ ": maintained = rebuilt") true (maintained = rebuilt))
+    !indexes;
+  Alcotest.(check bool) "objects were live at the end" true (List.length !live > 50)
+
 let suite =
   [
     test "concrete agreement" test_concrete_agreement;
     prop_engines_agree;
     test "indexed and broadcast routing agree (concrete)" test_routing_concrete;
     prop_routing_agree;
+    test "indexed and broadcast agree under rule churn" test_routing_churn;
+    test "index upkeep on create/delete = rebuild" test_index_upkeep;
   ]

@@ -612,6 +612,110 @@ let test_reconnect_resubscribes () =
               Alcotest.(check bool) "reconnect counted" true
                 (s.Client.reconnects >= 1))))
 
+(* --- subscription lifecycle ---------------------------------------------- *)
+
+let action_names pool =
+  match
+    Shard_pool.each pool (fun _ sys ->
+        Sentinel.Function_registry.action_names (System.registry sys))
+  with
+  | Ok per_shard -> per_shard
+  | Error e -> raise e
+
+(* Each Subscribe registers an action on every shard; Unsubscribe and the
+   cleanup of a dropped connection must take it away again. *)
+let test_subscription_actions_released () =
+  with_server ~shards:2 ~rule:false (fun server pool _ _ ->
+      let before = action_names pool in
+      let ev = Expr.eom ~cls:"employee" "set_salary" in
+      with_client server (fun client ->
+          for _ = 1 to 50 do
+            Client.unsubscribe client
+              (Client.subscribe client ~classes:[ "employee" ] ev ignore)
+          done);
+      Alcotest.(check (list (list string))) "released by unsubscribe" before
+        (action_names pool);
+      let client = Client.connect ~host:"127.0.0.1" ~port:(Server.port server) () in
+      ignore (Client.subscribe client ~classes:[ "employee" ] ev ignore);
+      ignore (Client.subscribe client ~classes:[ "manager" ] ev ignore);
+      Alcotest.(check bool) "held while subscribed" true (action_names pool <> before);
+      (* dropped without unsubscribing *)
+      Client.close client;
+      Alcotest.(check bool) "released by connection cleanup" true
+        (eventually (fun () -> action_names pool = before));
+      Alcotest.(check int) "no subscription rules left" 0
+        (List.length (List.concat_map System.rules
+           (match Shard_pool.each pool (fun _ sys -> sys) with
+           | Ok l -> l
+           | Error e -> raise e))))
+
+(* A flush parked on a busy shard must not lend its trace id to the other
+   threads of the server's domain, and the shard job must still run under
+   the frame's id. *)
+let test_parked_flush_keeps_its_trace () =
+  with_server ~shards:2 ~rule:false (fun server pool _ _ ->
+      let target =
+        List.find (fun o -> Shard_pool.shard_of pool o = 0) (employee_oids pool)
+      in
+      let seen = Atomic.make [] in
+      ignore
+        (Shard_pool.each pool (fun _ sys ->
+             Db.add_tap (System.db sys) (fun _ _ ->
+                 let tr = Obs.Trace.current () in
+                 let rec push () =
+                   let l = Atomic.get seen in
+                   if not (Atomic.compare_and_set seen l (tr :: l)) then push ()
+                 in
+                 push ())));
+      let gate = Mutex.create () and opened = ref false and cond = Condition.create () in
+      let open_gate () =
+        Mutex.lock gate;
+        opened := true;
+        Condition.broadcast cond;
+        Mutex.unlock gate
+      in
+      let was_on = !Obs.Trace.on in
+      Obs.Trace.enable ();
+      Fun.protect
+        ~finally:(fun () ->
+          open_gate ();
+          if not was_on then Obs.Trace.disable ())
+        (fun () ->
+          ignore
+            (Shard_pool.post_on pool 0 (fun _ ->
+                 Mutex.lock gate;
+                 while not !opened do
+                   Condition.wait cond gate
+                 done;
+                 Mutex.unlock gate));
+          let frames0 = (Server.stats server).Server.frames_in in
+          (* the client lives in its own domain, so its own trace context
+             cannot be what the checks below observe *)
+          let flusher =
+            Domain.spawn (fun () ->
+                let client =
+                  Client.connect ~host:"127.0.0.1" ~port:(Server.port server) ()
+                in
+                Fun.protect
+                  ~finally:(fun () -> Client.close client)
+                  (fun () ->
+                    Obs.Trace.with_trace 4242 (fun () ->
+                        Client.send client (target, "set_salary", [ Value.Float 7. ]);
+                        Client.flush client)))
+          in
+          Alcotest.(check bool) "the flush reached the server" true
+            (eventually (fun () ->
+                 (Server.stats server).Server.frames_in >= frames0 + 2));
+          Thread.delay 0.1;
+          let other = ref (-1) in
+          Thread.join (Thread.create (fun () -> other := Obs.Trace.current ()) ());
+          Alcotest.(check int) "another thread of the domain sees no trace" 0 !other;
+          Alcotest.(check int) "nor does this one" 0 (Obs.Trace.current ());
+          open_gate ();
+          Alcotest.(check int) "flush acked" 1 (Domain.join flusher);
+          Alcotest.(check (list int)) "the shard job ran under the frame's trace"
+            [ 4242 ] (Atomic.get seen)))
+
 let suite =
   [
     test_frame_roundtrip;
@@ -636,4 +740,6 @@ let suite =
       test_slow_consumer_shed_accounting;
     test "connection refused is bounded" test_connect_refused_bounded;
     test "reconnect re-registers subscriptions" test_reconnect_resubscribes;
+    test "subscription actions are released" test_subscription_actions_released;
+    test "a parked flush keeps its trace to itself" test_parked_flush_keeps_its_trace;
   ]

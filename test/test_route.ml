@@ -195,6 +195,103 @@ let test_wildcard_handler () =
   (* get_age is On_both: two occurrences *)
   Alcotest.(check int) "handler hears every subscribed occurrence" 3 !seen
 
+(* Unregistration tombstones a consumer's entries in place: across 10,000
+   register/unregister rounds over a 500-leaf bucket, [leaf_count] stays
+   exact, every delivery probes exactly the live entries, and the
+   tombstones it passes over never exceed the unregistrations since the
+   bucket was last rebuilt (every register forces one) nor the live
+   entries (the dead-outnumber-live rebuild). *)
+let test_tombstone_churn () =
+  let db = employee_db () in
+  let rt = Route.create db in
+  Db.set_route db (Some (fun _ o occ -> Route.deliver rt o occ));
+  let e = new_employee db in
+  let ev = Expr.eom ~cls:"employee" "set_salary" in
+  let consumer k = Oid.of_int (1_000_000 + k) in
+  let register k =
+    Route.register rt ~consumer:(consumer k) ~on_receive:ignore
+      (Detector.create ~on_signal:ignore ev)
+  in
+  let live = ref [] and next = ref 0 in
+  let add () =
+    register !next;
+    live := !next :: !live;
+    incr next
+  in
+  for _ = 1 to 500 do
+    add ()
+  done;
+  let rng = Workloads.Prng.create 5 in
+  let since_rebuild = ref 0 and registered_since = ref false in
+  let c = Route.counters rt in
+  for round = 1 to 10_000 do
+    let n = List.length !live in
+    if n < 450 || (n < 550 && Workloads.Prng.int rng 2 = 0) then begin
+      add ();
+      registered_since := true
+    end
+    else begin
+      let victim = List.nth !live (Workloads.Prng.int rng n) in
+      Route.unregister rt (consumer victim);
+      live := List.filter (( <> ) victim) !live;
+      incr since_rebuild
+    end;
+    let n = List.length !live in
+    if Route.leaf_count rt <> n then
+      Alcotest.failf "round %d: leaf_count %d, live %d" round (Route.leaf_count rt) n;
+    (* deliver every few rounds, so tombstones pile up in between *)
+    if round mod 7 = 0 then begin
+      let p0 = c.Route.candidates_probed and t0 = c.Route.tombstones_skipped in
+      ignore (Db.send db e "set_salary" [ Value.Float 1. ]);
+      let probed = c.Route.candidates_probed - p0
+      and skipped = c.Route.tombstones_skipped - t0 in
+      if probed <> n then Alcotest.failf "round %d: probed %d of %d live" round probed n;
+      if !registered_since && skipped <> 0 then
+        Alcotest.failf "round %d: %d tombstones survived a register" round skipped;
+      if skipped > !since_rebuild || skipped > n then
+        Alcotest.failf "round %d: walked %d tombstones (%d unregistered, %d live)"
+          round skipped !since_rebuild n;
+      if !registered_since then since_rebuild := 0;
+      registered_since := false
+    end
+  done;
+  Alcotest.(check bool) "tombstones were skipped at all" true
+    (c.Route.tombstones_skipped > 0)
+
+(* An immediate rule whose action deletes a later candidate on the same
+   route key: the deleted rule is not offered the occurrence being
+   delivered. *)
+let test_delete_during_delivery () =
+  let db = employee_db () in
+  let sys = System.create db in
+  let e = new_employee db in
+  let ev = Expr.eom ~cls:"employee" "set_salary" in
+  let victim = ref None and victim_checked = ref 0 in
+  System.register_action sys "delete-victim" (fun _ _ ->
+      Option.iter (System.delete_rule sys) !victim;
+      victim := None);
+  System.register_condition sys "victim-sees" (fun _ _ ->
+      incr victim_checked;
+      true);
+  System.register_action sys "noop" (fun _ _ -> ());
+  let killer =
+    System.create_rule sys ~monitor:[ e ] ~event:ev ~condition:"true"
+      ~action:"delete-victim" ()
+  in
+  let v =
+    System.create_rule sys ~monitor:[ e ] ~event:ev ~condition:"victim-sees"
+      ~action:"noop" ()
+  in
+  victim := Some v;
+  ignore (Db.send db e "set_salary" [ Value.Float 1. ]);
+  Alcotest.(check int) "killer fired" 1 (System.rule_info sys killer).Rule.fired;
+  Alcotest.(check bool) "victim deleted" false (Db.exists db v);
+  Alcotest.(check int) "victim never offered the occurrence" 0 !victim_checked;
+  ignore (Db.send db e "set_salary" [ Value.Float 2. ]);
+  Alcotest.(check int) "nor any later one" 0 !victim_checked;
+  Alcotest.(check (list oid)) "victim unsubscribed" [ killer ]
+    (Db.consumers_of db e)
+
 let suite =
   [
     test "register on create; enable/disable/delete" test_lifecycle;
@@ -205,4 +302,6 @@ let suite =
     test "rolled-back rule: guarded then pruned" test_rollback_leaves_then_prune;
     test "routing counters" test_counters;
     test "wildcard handler delivery" test_wildcard_handler;
+    test "unregister tombstones: exact counts under churn" test_tombstone_churn;
+    test "rule deleted mid-delivery is not offered" test_delete_during_delivery;
   ]

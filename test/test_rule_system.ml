@@ -87,9 +87,125 @@ let test_delete_rule () =
   System.delete_rule sys r;
   Alcotest.(check bool) "object gone" false (Db.exists db r);
   Alcotest.(check int) "no runtimes" 0 (List.length (System.rules sys));
-  (* the stale subscription on e is ignored at delivery time *)
+  (* the subscription on e went with the rule *)
   set_salary db e 1.;
   Alcotest.(check int) "stale subscription harmless" 0 (fired ())
+
+let check_integrity db =
+  match Oodb.Verify.check db with
+  | Ok () -> ()
+  | Error ps -> Alcotest.failf "integrity: %s" (String.concat "; " ps)
+
+(* Deleting a rule takes it off every instance and class consumer list it
+   was on: create/delete rounds leave both lists as they were. *)
+let test_delete_unsubscribes () =
+  let db, sys, fired = fixture () in
+  let e = new_employee db in
+  let keeper = watch_rule sys ~monitor:[ e ] ~monitor_classes:[ "manager" ] in
+  let cls0 = Db.class_consumers_of db "employee"
+  and mgr0 = Db.class_consumers_of db "manager"
+  and e0 = Db.consumers_of db e in
+  for _ = 1 to 100 do
+    let c = watch_rule sys ~monitor_classes:[ "employee"; "manager" ] in
+    let i = watch_rule sys ~monitor:[ e ] in
+    System.delete_rule sys c;
+    System.delete_rule sys i
+  done;
+  Alcotest.(check (list oid)) "class list unchanged" cls0
+    (Db.class_consumers_of db "employee");
+  Alcotest.(check (list oid)) "subclass list unchanged" mgr0
+    (Db.class_consumers_of db "manager");
+  Alcotest.(check (list oid)) "instance list unchanged" e0 (Db.consumers_of db e);
+  Alcotest.(check (list oid)) "only the keeper left" [ keeper ] (System.rules sys);
+  check_integrity db;
+  set_salary db e 1.;
+  Alcotest.(check int) "only the keeper fires" 1 (fired ())
+
+(* A delete rolled back with its transaction brings back the object, its
+   subscriptions and its runtime. *)
+let test_rolled_back_delete_restores () =
+  let db, sys, fired = fixture () in
+  let e = new_employee db in
+  let c = watch_rule sys ~monitor_classes:[ "employee" ] in
+  let i = watch_rule sys ~monitor:[ e ] in
+  Transaction.begin_ db;
+  System.delete_rule sys c;
+  System.delete_rule sys i;
+  Alcotest.(check (list oid)) "off the class list" [] (Db.class_consumers_of db "employee");
+  Alcotest.(check (list oid)) "off the instance list" [] (Db.consumers_of db e);
+  Transaction.abort db;
+  Alcotest.(check bool) "objects back" true (Db.exists db c && Db.exists db i);
+  Alcotest.(check (list oid)) "class subscription back" [ c ]
+    (Db.class_consumers_of db "employee");
+  Alcotest.(check (list oid)) "instance subscription back" [ i ] (Db.consumers_of db e);
+  Alcotest.(check (list oid)) "runtimes back" (List.sort Oid.compare [ c; i ])
+    (System.rules sys);
+  check_integrity db;
+  set_salary db e 1.;
+  Alcotest.(check int) "both fire again" 2 (fired ());
+  System.delete_rule sys c;
+  System.delete_rule sys i;
+  Alcotest.(check (list oid)) "and a committed delete still unsubscribes" []
+    (Db.consumers_of db e);
+  check_integrity db
+
+(* Every unsubscription a delete makes is journaled: replaying the WAL
+   reaches the live state, including deletes inside committed and aborted
+   transactions. *)
+let test_delete_replays () =
+  let path = Filename.temp_file "sentinel_delete_rule" ".wal" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let db, sys, _ = fixture () in
+      ignore (System.attach_wal sys path);
+      let es = Array.init 3 (fun _ -> new_employee db) in
+      let live = Queue.create () in
+      let create k =
+        Queue.push
+          (if k mod 2 = 0 then watch_rule sys ~monitor_classes:[ "employee" ]
+           else watch_rule sys ~monitor:[ es.(k mod 3); es.((k + 1) mod 3) ])
+          live
+      in
+      for k = 0 to 5 do
+        create k
+      done;
+      for k = 6 to 30 do
+        (match k mod 3 with
+        | 0 -> System.delete_rule sys (Queue.pop live)
+        | 1 ->
+          ignore
+            (Transaction.atomically db (fun () ->
+                 System.delete_rule sys (Queue.pop live)))
+        | _ ->
+          (* rolled back: the rule stays, at the back of the queue *)
+          let r = Queue.pop live in
+          Transaction.begin_ db;
+          System.delete_rule sys r;
+          Transaction.abort db;
+          Queue.push r live);
+        create k;
+        set_salary db es.(k mod 3) (float_of_int k)
+      done;
+      System.detach_wal sys;
+      let db2 = employee_db () in
+      ignore (System.create db2);
+      ignore (Oodb.Wal.replay db2 path);
+      (* the logical clock is not compared: a send outside any transaction
+         ticks it without journaling *)
+      let state db =
+        String.split_on_char '\n' (Oodb.Persist.to_string db)
+        |> List.filter (fun l -> not (String.starts_with ~prefix:"clock " l))
+      in
+      Alcotest.(check (list string)) "replayed state = live state" (state db)
+        (state db2);
+      check_integrity db;
+      check_integrity db2;
+      (* a snapshot load rebuilds the reverse subscription index too *)
+      let db3 = employee_db () in
+      ignore (System.create db3);
+      Oodb.Persist.of_string db3 (Oodb.Persist.to_string db);
+      check_integrity db3)
 
 let test_subscribe_api () =
   let db, sys, fired = fixture () in
@@ -407,6 +523,9 @@ let suite =
     test "class-level rule" test_class_level_rule;
     test "enable/disable" test_enable_disable;
     test "delete rule" test_delete_rule;
+    test "delete rule unsubscribes it" test_delete_unsubscribes;
+    test "rolled-back delete restores subscriptions" test_rolled_back_delete_restores;
+    test "rule deletes replay from the WAL" test_delete_replays;
     test "subscribe API" test_subscribe_api;
     test "condition sees event parameters" test_condition_sees_parameters;
     test "immediate runs inline" test_immediate_runs_inline;
