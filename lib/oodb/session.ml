@@ -186,7 +186,9 @@ let delete_object s oid =
   (* capture everything needed to resurrect the same identity on abort *)
   let cls = Db.class_of db oid in
   let saved = Db.attrs db oid in
-  let consumers = Db.consumers_of db oid in
+  (* the stored list, newest first as [make_obj] takes it; [Db.consumers_of]
+     would hand it over reversed *)
+  let consumers = (Heap.find_obj db oid).consumers in
   let resurrect () =
     let info = Heap.class_info db cls in
     let o = Heap.make_obj db ~id:oid ~cls ~info ~seed:`Empty ~consumers in

@@ -32,6 +32,14 @@ type t = {
       (** Whole contents. @raise Sys_error when missing. *)
   open_writer : append:bool -> string -> writer;
       (** [append:false] truncates/creates. *)
+  open_log : append:bool -> string -> writer;
+      (** A writer for an append-only log, with the same contract as
+          [open_writer].  A backend may write zeros ahead of the logical
+          end, so that a sync over that room flushes data without growing
+          the file: a reader must take NUL bytes past the last record as
+          the end of the log.  [close] drops the zeros again.
+          [append:true] continues at the end of the file as it stands, so a
+          zero tail left by a crash must be truncated first. *)
   rename : string -> string -> unit;  (** Atomic replace. *)
   unlink : string -> unit;  (** Missing file is not an error. *)
   truncate : string -> int -> unit;
@@ -47,7 +55,9 @@ exception Crash
     test harness then "reboots" and runs recovery against what survived. *)
 
 val unix : t
-(** The real filesystem. *)
+(** The real filesystem.  Its {!type-t.open_log} writes through the file
+    descriptor and keeps zeros ahead of the logical end: 4 KiB at first,
+    doubling per extension up to 256 KiB. *)
 
 val with_retries : ?attempts:int -> ?backoff:(int -> unit) -> (unit -> 'a) -> 'a
 (** Run [f], retrying on {!Errors.Io_error} up to [attempts] times
@@ -77,7 +87,9 @@ module Crc32 : sig
   (** Fixed-width lowercase hex, e.g. ["0a1b2c3d"]. *)
 end
 
-(** The fault-injecting in-memory backend. *)
+(** The fault-injecting in-memory backend.  Its {!type-t.open_log} is its
+    plain append writer, with no zero tail, so a crash point's byte prefix
+    is a prefix of the log itself. *)
 module Mem : sig
   type fs
 

@@ -41,6 +41,12 @@ type t = {
   mutable g_n : int;
   mutable g_txns : int;
   mutable g_opened_us : float; (* wall-clock when the group opened *)
+  (* the logical clock: the highest value a written batch carries, the
+     highest the open group carries, and the one the open transaction's
+     commit entry carries; -1 for none *)
+  mutable clock : int;
+  mutable g_clock : int;
+  mutable txn_clock : int;
   mutable n_batches : int;
   mutable n_entries : int;
   mutable attached : bool;
@@ -171,6 +177,9 @@ type scanned = {
   s_leftover : bool; (* damaged bytes beyond [s_valid_end] *)
 }
 
+let rec nul_from data i =
+  i >= String.length data || (data.[i] = '\000' && nul_from data (i + 1))
+
 let scan data =
   let len = String.length data in
   let next_line pos =
@@ -250,7 +259,8 @@ let scan data =
         s_batches = bs;
         s_valid_end = valid_end;
         s_checksum_failures = !cksum_fail;
-        s_leftover = valid_end < len;
+        (* zeros past the last batch are a log writer's unused room *)
+        s_leftover = not (nul_from data valid_end);
       }
   | Some (l, _) -> parse_error "wal: bad magic %S" l
 
@@ -315,7 +325,35 @@ let clear_group t =
   t.g_len <- 0;
   t.g_n <- 0;
   t.g_txns <- 0;
-  t.g_opened_us <- 0.
+  t.g_opened_us <- 0.;
+  t.g_clock <- -1
+
+(* Room in the group for [n] more entry bytes and the closing "E\n". *)
+let reserve t n =
+  let need = header_room + t.g_len + n + 2 in
+  if Bytes.length t.g_bytes < need then begin
+    let bigger = Bytes.create (max need (2 * Bytes.length t.g_bytes)) in
+    Bytes.blit t.g_bytes header_room bigger header_room t.g_len;
+    t.g_bytes <- bigger
+  end
+
+(* Sends outside any transaction tick the clock without a commit entry, so
+   a batch written while the clock is past every value the log holds ends
+   with one of its own. *)
+let add_clock t =
+  let now = t.wal_db.now in
+  if now > max t.clock t.g_clock then begin
+    let head = t.head in
+    Buffer.clear head;
+    encode_mutation head (M_clock now);
+    Buffer.add_char head '\n';
+    let n = Buffer.length head in
+    reserve t n;
+    Buffer.blit head 0 t.g_bytes (header_room + t.g_len) n;
+    t.g_len <- t.g_len + n;
+    t.g_n <- t.g_n + 1;
+    t.g_clock <- now
+  end
 
 (* Write the group as one batch.  The group is cleared once the batch's
    bytes are in the log, before they are made durable: from then on it must
@@ -323,6 +361,7 @@ let clear_group t =
    whole. *)
 let write_group_raw t =
   if t.attached then begin
+    add_clock t;
     let body = header_room and b = t.g_bytes in
     let head = t.head in
     Buffer.clear head;
@@ -347,6 +386,7 @@ let write_group_raw t =
     (* counters and the sequence move only once the batch is down *)
     t.n_batches <- t.n_batches + 1;
     t.n_entries <- t.n_entries + t.g_n;
+    t.clock <- max t.clock t.g_clock;
     clear_group t;
     t.wal_db.stats.wal_bytes <- t.wal_db.stats.wal_bytes + String.length data;
     if t.version = V2 then begin
@@ -404,16 +444,13 @@ let now_us () = Unix.gettimeofday () *. 1e6
 (* The open transaction's entries join the group. *)
 let append_txn t =
   let n = Buffer.length t.txn in
-  let need = header_room + t.g_len + n + 2 in
-  if Bytes.length t.g_bytes < need then begin
-    let bigger = Bytes.create (max need (2 * Bytes.length t.g_bytes)) in
-    Bytes.blit t.g_bytes header_room bigger header_room t.g_len;
-    t.g_bytes <- bigger
-  end;
+  reserve t n;
   Buffer.blit t.txn 0 t.g_bytes (header_room + t.g_len) n;
   t.g_len <- t.g_len + n;
   t.g_n <- t.g_n + t.txn_n;
   t.g_txns <- t.g_txns + 1;
+  t.g_clock <- max t.g_clock t.txn_clock;
+  t.txn_clock <- -1;
   if n > kept_bytes then Buffer.reset t.txn else Buffer.clear t.txn;
   t.txn_n <- 0
 
@@ -449,6 +486,7 @@ let on_event t event =
     match event with
     | J_begin -> t.marks <- (Buffer.length t.txn, t.txn_n) :: t.marks
     | J_mutation m ->
+      (match m with M_clock c -> t.txn_clock <- c | _ -> ());
       encode_mutation t.txn m;
       Buffer.add_char t.txn '\n';
       t.txn_n <- t.txn_n + 1;
@@ -470,19 +508,25 @@ let on_event t event =
         t.txn_n <- n;
         t.marks <- rest)
 
-(* Force everything committed so far onto the disk: seal the open group and,
-   for a [sync:false] log, fsync the buffered writes. *)
+(* Seal the open group, or write a clock-only batch when only the clock has
+   moved since the last batch. *)
+let seal_all t =
+  if t.g_txns > 0 then seal_group t
+  else if t.wal_db.now > t.clock then write_group t
+
+(* Force everything committed so far, and the clock, onto the disk: seal the
+   open group and, for a [sync:false] log, fsync the buffered writes. *)
 let sync t =
   if not t.attached then
     raise (Errors.Transaction_error "cannot sync a detached journal");
-  seal_group t;
+  seal_all t;
   t.w.Storage.flush ();
   if not t.sync then fsync_writer t
 
 (* --- attach / detach --------------------------------------------------------- *)
 
 let init_log storage sync db path =
-  let w = storage.Storage.open_writer ~append:false path in
+  let w = storage.Storage.open_log ~append:false path in
   Storage.with_retries (fun () -> w.Storage.write (magic_v2 ^ "\n"));
   w.Storage.flush ();
   if sync then begin
@@ -517,8 +561,8 @@ let attach ?(storage = Storage.unix) ?(sync = true) ?group_commit db path =
            reinitialize in place *)
         (init_log storage sync db path, V2, db.wal_applied_seq + 1, header_bytes)
       | `Ok s ->
-        (* repair: drop the torn or corrupt tail so appended batches stay
-           reachable by replay *)
+        (* repair: drop the torn or corrupt tail, and a crashed writer's
+           zeros, so appended batches stay reachable by replay *)
         if s.s_valid_end < String.length data then
           storage.Storage.truncate path s.s_valid_end;
         let last =
@@ -526,7 +570,7 @@ let attach ?(storage = Storage.unix) ?(sync = true) ?group_commit db path =
             (fun acc b -> max acc b.b_seq)
             db.wal_applied_seq s.s_batches
         in
-        ( storage.Storage.open_writer ~append:true path,
+        ( storage.Storage.open_log ~append:true path,
           s.s_version,
           last + 1,
           s.s_valid_end )
@@ -550,6 +594,9 @@ let attach ?(storage = Storage.unix) ?(sync = true) ?group_commit db path =
       g_n = 0;
       g_txns = 0;
       g_opened_us = 0.;
+      clock = db.now;
+      g_clock = -1;
+      txn_clock = -1;
       n_batches = 0;
       n_entries = 0;
       attached = true;
@@ -562,7 +609,7 @@ let attach ?(storage = Storage.unix) ?(sync = true) ?group_commit db path =
 
 let detach t =
   if t.attached then begin
-    seal_group t;
+    seal_all t;
     t.attached <- false;
     t.wal_db.on_journal <- None;
     t.w.Storage.flush ();
@@ -633,7 +680,7 @@ let checkpoint_full_raw t ~snapshot =
   w.Storage.close ();
   t.storage.Storage.rename tmp t.path;
   t.storage.Storage.fsync_dir t.path;
-  t.w <- t.storage.Storage.open_writer ~append:true t.path;
+  t.w <- t.storage.Storage.open_log ~append:true t.path;
   (* rotation upgrades a v1-era log; the sequence keeps counting *)
   t.version <- V2;
   t.wal_db.stats.wal_bytes <- header_bytes;
@@ -736,7 +783,7 @@ let compact_raw ?(retention = Keep_none) t ~snapshot =
   w.Storage.close ();
   t.storage.Storage.rename tmp t.path;
   t.storage.Storage.fsync_dir t.path;
-  t.w <- t.storage.Storage.open_writer ~append:true t.path;
+  t.w <- t.storage.Storage.open_log ~append:true t.path;
   t.version <- V2;
   t.wal_db.stats.wal_bytes <- String.length body;
   (* the deltas are folded into the new base *)

@@ -22,13 +22,26 @@
     With the default [~sync:true], a batch is fsynced before the journal's
     counters advance, so once a transaction's commit returns, its batch
     survives any crash.  Recovery stops cleanly at the first torn {e or
-    corrupt} batch — a crash mid-append, a bit flip, or a foreign tail can
+    corrupt} batch (zeros after the last batch are a clean end) — a crash
+    mid-append, a bit flip, or a foreign tail can
     lose at most uncommitted work, never raise out of {!replay}.
     {!checkpoint} is crash-atomic end to end: the snapshot goes down via
     temp file + fsync + atomic rename + directory fsync and embeds the
     sequence number of the last logged batch ([walseq]), so a crash
     between snapshot and log rotation cannot double-apply batches — replay
     skips everything the snapshot already contains.
+
+    Logs are written through {!Storage.type-t.open_log}, which may keep
+    zeros ahead of the logical end so that a seal's fsync flushes data
+    only.  NUL bytes after the last intact batch are therefore a clean end
+    of the log, not damage: replay does not count them as discarded, and
+    {!attach} truncates them before appending.
+
+    The log also carries the logical clock.  A committed transaction's
+    batch records it; any other batch written while the clock has moved
+    past the last value logged records it too, and {!sync} and {!detach}
+    write a clock-only batch when nothing else would.  Replay keeps the
+    maximum, so a recovered store never reissues a timestamp.
 
     {2 Group commit}
 
@@ -103,8 +116,9 @@ val attach :
     (inner aborts drop only their own entries).
 
     Attaching to an existing log validates the magic line and repairs the
-    tail: a torn or corrupt final batch is truncated away so later appends
-    stay reachable by replay.  With [~sync:false] batches are flushed but
+    tail: a torn or corrupt final batch, and any zero tail, is truncated
+    away so later appends stay reachable by replay.  A file holding only
+    zeros (or a torn magic line) is re-initialised.  With [~sync:false] batches are flushed but
     not fsynced — faster, but a crash may lose recently committed work.
     [group_commit] (default off) enables the commit coordinator.
     @raise Errors.Parse_error when the file exists, is non-empty and does
@@ -115,11 +129,12 @@ val attach :
     [max_wait_us]. *)
 
 val detach : t -> unit
-(** Seal the open group, flush, (when [sync]) fsync, close and uninstall.
-    Idempotent. *)
+(** Seal the open group (or log a clock that moved without one), flush,
+    (when [sync]) fsync, close and uninstall.  Idempotent. *)
 
 val sync : t -> unit
-(** Force durability now: seal the open commit group and, for a
+(** Force durability now: seal the open commit group (or, when only the
+    logical clock has moved, write a clock-only batch) and, for a
     [~sync:false] journal, fsync the buffered writes.  After [sync] returns
     every commit made so far survives any crash.
     @raise Errors.Transaction_error on a detached journal. *)
@@ -175,7 +190,9 @@ val replay : ?storage:Storage.t -> Db.t -> string -> int
     number at or below the snapshot's [walseq]) are skipped.  Replay stops
     cleanly at the first torn or corrupt batch — bad checksum, broken
     framing, an undecodable entry — discarding it and everything after it;
-    corruption never raises.  A missing file counts as an empty log.
+    corruption never raises.  Zeros after the last intact batch end the log
+    cleanly and are not counted as discarded.  A missing file counts as an
+    empty log.
     Recovery counters (batches replayed/discarded, checksum failures) land
     in {!Db.stats}.
     @raise Errors.No_such_class when the log references unregistered

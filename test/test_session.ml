@@ -158,6 +158,34 @@ let test_interleaved_serializable () =
   Alcotest.(check (float 0.)) "bob transfer" 20. (v b2);
   Alcotest.(check (float 0.)) "conserved" 30. (v a1 +. v a2 +. v b1 +. v b2)
 
+(* An aborted delete brings the object back with its consumers in their
+   original order, so delivery order is unchanged too. *)
+let test_delete_abort_keeps_consumer_order () =
+  let db = employee_db () in
+  let sys = System.create db in
+  let order = ref [] in
+  let consumer name =
+    System.create_notifiable sys ~name (fun _ -> order := name :: !order)
+  in
+  let first = consumer "first" and second = consumer "second" in
+  let e = new_employee db in
+  Db.subscribe db ~reactive:e ~consumer:first;
+  Db.subscribe db ~reactive:e ~consumer:second;
+  let deliveries () =
+    order := [];
+    ignore (Db.send db e "set_salary" [ Value.Float 1. ]);
+    List.rev !order
+  in
+  let consumers = Db.consumers_of db e and delivered = deliveries () in
+  Alcotest.(check (list string))
+    "both delivered" [ "first"; "second" ] (List.sort compare delivered);
+  let alice = Session.session ~name:"alice" (Session.manager db) in
+  Session.begin_ alice;
+  Session.delete_object alice e;
+  Session.abort alice;
+  Alcotest.(check (list oid)) "consumers" consumers (Db.consumers_of db e);
+  Alcotest.(check (list string)) "delivery order" delivered (deliveries ())
+
 let suite =
   [
     test "basic commit" test_basic_commit;
@@ -170,4 +198,6 @@ let suite =
     test "send with rollback" test_send_with_rollback;
     test "misuse" test_misuse;
     test "interleaved serializable" test_interleaved_serializable;
+    test "aborted delete keeps consumer order"
+      test_delete_abort_keeps_consumer_order;
   ]

@@ -739,6 +739,140 @@ let test_system_durability_wrappers () =
   Alcotest.(check bool) "base loaded" true r.Wal.r_snapshot_loaded;
   Alcotest.(check bool) "states equal" true (snapshot db = snapshot db2)
 
+(* --- the logical clock ------------------------------------------------------ *)
+
+(* Sends outside any transaction tick the clock without a commit; the log
+   still carries it, so recovery never hands out a timestamp again. *)
+let test_clock_survives_recovery () =
+  let fs = Mem.create () in
+  let db = fresh_db () in
+  let wal =
+    Wal.attach ~storage:(Mem.storage fs)
+      ~group_commit:{ Wal.max_batch = 100; max_wait_us = max_int }
+      db log_path
+  in
+  let e = new_employee db in
+  ignore (Db.send db e "set_salary" [ Value.Float 5. ]);
+  Wal.sync wal;
+  let db2, _ = mem_recover fs in
+  Alcotest.(check int) "autocommit batch carries the clock" (Db.now db)
+    (Db.now db2);
+  (* a send that writes nothing: only a clock-only batch records it *)
+  ignore (Db.send db e "get_age" []);
+  let before = Wal.batches_written wal in
+  Wal.sync wal;
+  Alcotest.(check int) "one clock-only batch" (before + 1)
+    (Wal.batches_written wal);
+  Wal.sync wal;
+  Alcotest.(check int) "none when the clock stands still" (before + 1)
+    (Wal.batches_written wal);
+  Wal.detach wal;
+  let db3, _ = mem_recover fs in
+  Alcotest.(check int) "recovered clock" (Db.now db) (Db.now db3);
+  Alcotest.(check bool) "state" true (snapshot db = snapshot db3)
+
+(* --- the zero tail -------------------------------------------------------- *)
+
+let zeros n = String.make n '\000'
+
+(* A log whose three batches are followed by [tail]. *)
+let log_with_tail tail =
+  let fs = Mem.create () in
+  let db = fresh_db () in
+  let wal = Wal.attach ~storage:(Mem.storage fs) db log_path in
+  let e = new_employee db ~salary:1. in
+  Db.set db e "salary" (Value.Float 2.);
+  Db.set db e "salary" (Value.Float 3.);
+  Wal.detach wal;
+  Mem.set_file fs log_path (Mem.contents fs log_path ^ tail);
+  (fs, db)
+
+let discarded db = (Db.stats db).Oodb.Types.wal_batches_discarded
+
+let test_zeros_after_batches_are_a_clean_end () =
+  let fs, db = log_with_tail (zeros 70_000) in
+  let db2, r = mem_recover fs in
+  Alcotest.(check int) "every batch" 3 r.Wal.r_batches_replayed;
+  Alcotest.(check bool) "state" true (snapshot db = snapshot db2);
+  Alcotest.(check int) "nothing discarded" 0 (discarded db2);
+  (* attach drops the zeros, so a batch appended next stays reachable *)
+  let wal = Wal.attach ~storage:(Mem.storage fs) db2 log_path in
+  let e = new_employee db2 ~salary:4. in
+  Wal.detach wal;
+  let db3, r3 = mem_recover fs in
+  Alcotest.(check int) "appended batch replays" 4 r3.Wal.r_batches_replayed;
+  Alcotest.check value "its state" (Value.Float 4.) (Db.get db3 e "salary");
+  Alcotest.(check int) "still nothing discarded" 0 (discarded db3)
+
+let test_torn_batch_before_zeros_discarded () =
+  let fs, db = log_with_tail ("B 4 2 00000000\nc 9 employee" ^ zeros 4096) in
+  let db2, r = mem_recover fs in
+  Alcotest.(check int) "intact batches" 3 r.Wal.r_batches_replayed;
+  Alcotest.(check bool) "state" true (snapshot db = snapshot db2);
+  Alcotest.(check int) "torn batch discarded once" 1 (discarded db2)
+
+(* A crash after an extension became durable but before the magic line did
+   leaves nothing but zeros: nothing was ever committed there. *)
+let test_all_zero_log_reinitialised () =
+  let fs = Mem.create () in
+  Mem.set_file fs log_path (zeros 65536);
+  let db, r = mem_recover fs in
+  Alcotest.(check int) "nothing to replay" 0 r.Wal.r_batches_replayed;
+  Alcotest.(check int) "nothing discarded" 0 (discarded db);
+  let wal = Wal.attach ~storage:(Mem.storage fs) db log_path in
+  let e = new_employee db ~salary:6. in
+  Wal.detach wal;
+  Alcotest.(check bool) "magic line rewritten" true
+    (String.starts_with ~prefix:"SENTINELWAL 2\n" (Mem.contents fs log_path));
+  let db2, r2 = mem_recover fs in
+  Alcotest.(check int) "the new batch" 1 r2.Wal.r_batches_replayed;
+  Alcotest.check value "its state" (Value.Float 6.) (Db.get db2 e "salary")
+
+(* The real log writer: a copy of the file taken while the log is live is a
+   crash image, zero tail included, and recovers to the live state; attaching
+   to it, appending and recovering again works too. *)
+let test_unix_zero_tail_round_trip () =
+  with_tmp (fun path ->
+      with_tmp (fun image ->
+          let read p = In_channel.with_open_bin p In_channel.input_all in
+          let db = fresh_db () in
+          let wal = Wal.attach db path in
+          (* one large batch crosses the first 64 KiB of zeros *)
+          Transaction.begin_ db;
+          for _ = 1 to 40 do
+            ignore (new_employee db ~name:(String.make 2000 'x'))
+          done;
+          Transaction.commit db;
+          let e = new_employee db ~salary:1. in
+          Db.set db e "salary" (Value.Float 2.);
+          let data = read path and logical = (Db.stats db).Oodb.Types.wal_bytes in
+          Out_channel.with_open_bin image (fun oc -> output_string oc data);
+          Alcotest.(check bool) "zeros follow the logical end" true
+            (String.length data > logical
+            && String.sub data logical (String.length data - logical)
+               = zeros (String.length data - logical));
+          let live = snapshot db in
+          Db.set db e "salary" (Value.Float 3.);
+          Wal.detach wal;
+          Alcotest.(check int) "a detached log has no zero tail"
+            (Db.stats db).Oodb.Types.wal_bytes
+            (String.length (read path));
+          let db2, applied = recover image in
+          Alcotest.(check int) "every batch of the image" 3 applied;
+          Alcotest.(check bool) "image state" true (live = snapshot db2);
+          Alcotest.(check int) "nothing discarded" 0 (discarded db2);
+          let wal2 = Wal.attach db2 image in
+          Db.set db2 e "salary" (Value.Float 3.);
+          let f = new_employee db2 ~salary:9. in
+          Wal.detach wal2;
+          let db3, applied3 = recover image in
+          Alcotest.(check int) "appended batches" 5 applied3;
+          Alcotest.(check bool) "state after appending" true
+            (snapshot db2 = snapshot db3);
+          Alcotest.check value "appended object" (Value.Float 9.)
+            (Db.get db3 f "salary");
+          Alcotest.(check int) "still nothing discarded" 0 (discarded db3)))
+
 let suite =
   [
     test "autocommit logging" test_autocommit_logging;
@@ -777,5 +911,12 @@ let suite =
     test "compact retention policies" test_compact_retention;
     test "stale delta ignored" test_stale_delta_ignored;
     test "system durability wrappers" test_system_durability_wrappers;
+    test "clock survives recovery" test_clock_survives_recovery;
+    test "zeros after batches are a clean end"
+      test_zeros_after_batches_are_a_clean_end;
+    test "torn batch before zeros discarded"
+      test_torn_batch_before_zeros_discarded;
+    test "all-zero log is re-initialised" test_all_zero_log_reinitialised;
+    test "unix zero tail round trip" test_unix_zero_tail_round_trip;
     prop_replay_equals_original;
   ]
