@@ -610,6 +610,56 @@ let e11 () =
 (* E12: secondary-index ablation (substrate completeness)                     *)
 (* ------------------------------------------------------------------------- *)
 
+(* What an index costs to build, in time and in live memory, over 100k
+   unique keys; and the snapshot load that rebuilds one (recovery and shard
+   restarts end in it).  Times are the median of 5 builds. *)
+let e12_build () =
+  let n = if Sys.getenv_opt "BENCH_SMOKE" <> None then 5_000 else 100_000 in
+  header (Printf.sprintf "E12: index build over %d unique keys, and a snapshot load" n);
+  let reps = 5 in
+  let db = Db.create () in
+  Workloads.Payroll.install db;
+  let rng = Prng.create 12 in
+  for i = 0 to n - 1 do
+    ignore
+      (Db.new_object db "employee"
+         ~attrs:
+           [
+             ("name", Value.Str (Printf.sprintf "emp-%d" i));
+             ("salary", Value.Float (Prng.float rng 10_000.));
+           ])
+  done;
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let median xs = List.nth (List.sort compare xs) (List.length xs / 2) in
+  List.iter
+    (fun (kind, label) ->
+      let build () =
+        Db.drop_index db ~cls:"employee" ~attr:"name";
+        Gc.full_major ();
+        snd (time_ms (fun () -> Db.create_index db ~kind ~cls:"employee" ~attr:"name" ()))
+      in
+      let ms = median (List.init reps (fun _ -> build ())) in
+      Db.drop_index db ~cls:"employee" ~attr:"name";
+      let w0 = live_words () in
+      Db.create_index db ~kind ~cls:"employee" ~attr:"name" ();
+      let mb = float_of_int ((live_words () - w0) * (Sys.word_size / 8)) /. 1e6 in
+      Db.drop_index db ~cls:"employee" ~attr:"name";
+      row "  %-8s index on name  build %10s   live %6.1f MB\n" label (fmt_ms ms) mb)
+    [ (`Hash, "hash"); (`Ordered, "ordered") ];
+  Db.create_index db ~cls:"employee" ~attr:"name" ();
+  let text = Oodb.Persist.to_string db in
+  let load () =
+    let db2 = Db.create () in
+    Workloads.Payroll.install db2;
+    Gc.full_major ();
+    snd (time_ms (fun () -> Oodb.Persist.of_string db2 text))
+  in
+  let ms = median (List.init reps (fun _ -> load ())) in
+  row "  snapshot load, %d objects, hash index on name  %10s\n" n (fmt_ms ms)
+
 let e12 () =
   header "E12: query cost -- scan vs hash index vs ordered index (50k objects)";
   let n = 50_000 in
@@ -650,7 +700,8 @@ let e12 () =
   row "  equality probe   scan %10s   hash index    %10s  (%d hit)\n"
     (fmt_ms scan_eq) (fmt_ms ix_eq) hits_eq;
   row "  range probe      scan %10s   ordered index %10s  (%d hits)\n"
-    (fmt_ms scan_rg) (fmt_ms ix_rg) hits_rg
+    (fmt_ms scan_rg) (fmt_ms ix_rg) hits_rg;
+  e12_build ()
 
 (* ------------------------------------------------------------------------- *)
 (* E13: write-ahead-log overhead and recovery                                 *)

@@ -679,6 +679,13 @@ let build_runtime t ~oid ~name ~event ~context ~coupling ~priority ~enabled
 
 let fresh_rule_name t = Printf.sprintf "rule-%d" (Oid.Table.length t.rule_table + 1)
 
+(* Run [f] in a transaction of its own unless one is open, so that a crash
+   (with a WAL attached, the transaction is one log batch) or a failure
+   never leaves a rule half created or half deleted. *)
+let in_own_transaction db f =
+  if Transaction.in_progress db then f ()
+  else match Transaction.atomically db f with Ok v -> v | Error e -> raise e
+
 let create_rule_common t ?name ?(coupling = Coupling.Immediate)
     ?(context = Context.Recent) ?(priority = 0) ?(enabled = true)
     ?(policy = Error_policy.Propagate) ?(max_retries = 0) ?(monitor = [])
@@ -687,6 +694,7 @@ let create_rule_common t ?name ?(coupling = Coupling.Immediate)
   (* Fail on unknown functions before creating the object. *)
   let condition_fn = Function_registry.find_condition t.sys_registry condition
   and action_fn = Function_registry.find_action t.sys_registry action in
+  in_own_transaction t.sys_db @@ fun () ->
   let oid =
     Db.new_object t.sys_db C.rule_class
       ~attrs:
@@ -802,12 +810,13 @@ let prune_runtimes t =
       unregister_rule t oid)
     stale
 
-(* The rule leaves the route, every consumer list it was on and the heap.
-   Inside a transaction all of it is undone together: a rollback brings back
+(* The rule leaves the route, every consumer list it was on and the heap,
+   in one transaction (its own when none is open): a rollback brings back
    its object, its subscriptions and its runtime. *)
 let delete_rule t oid =
   let rule = rule_info t oid in
   let db = t.sys_db in
+  in_own_transaction db @@ fun () ->
   Oid.Table.remove t.rule_table oid;
   unregister_rule t oid;
   Transaction.on_abort db (fun () ->

@@ -175,7 +175,9 @@ val create_rule :
     priority strategies.  [policy] (default {!Error_policy.Propagate})
     governs what a failed firing does to its surroundings — see
     {!Error_policy}; [max_retries] (default 0) bounds re-attempts of failed
-    detached firings. *)
+    detached firings.  The object and its subscriptions are made in one
+    transaction, its own when none is open, so with a WAL attached a crash
+    leaves the rule either absent or fully subscribed. *)
 
 val create_rule_on :
   t ->
@@ -215,9 +217,9 @@ val reinstate : t -> Oid.t -> unit
 
 val delete_rule : t -> Oid.t -> unit
 (** Remove the rule object, its runtime and every instance- and class-level
-    subscription it holds ({!Db.unsubscribe_all}).  Inside a transaction, a
-    rollback restores all three; outside one, each step autocommits, as
-    {!create_rule}'s do. *)
+    subscription it holds ({!Db.unsubscribe_all}), in one transaction (its
+    own when none is open): a rollback restores all three, and a crash
+    leaves the rule either whole or gone. *)
 
 val set_priority : t -> Oid.t -> int -> unit
 

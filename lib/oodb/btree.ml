@@ -3,7 +3,7 @@
    Nodes hold sorted arrays; with the default order of 16, the O(order)
    array copies on mutation are cheaper than pointer-chasing structures. *)
 
-type payload = unit Oid.Table.t
+type payload = Postings.t
 
 type node = Leaf of leaf | Node of internal
 
@@ -68,14 +68,11 @@ let rec find_leaf node key =
   | Leaf l -> l
   | Node n -> find_leaf n.children.(route n key) key
 
-let payload_oids p =
-  Oid.Table.fold (fun oid () acc -> oid :: acc) p [] |> List.sort Oid.compare
-
 let find t key =
   let l = find_leaf t.root key in
   let i = leaf_search l.entries key in
   if i < Array.length l.entries && Value.equal (fst l.entries.(i)) key then
-    payload_oids (snd l.entries.(i))
+    Postings.to_list (snd l.entries.(i))
   else []
 
 let rec leftmost = function Leaf l -> l | Node n -> leftmost n.children.(0)
@@ -84,7 +81,7 @@ let iter t f =
   let rec walk = function
     | None -> ()
     | Some l ->
-      Array.iter (fun (k, p) -> f k (payload_oids p)) l.entries;
+      Array.iter (fun (k, p) -> f k (Postings.to_list p)) l.entries;
       walk l.next
   in
   walk (Some (leftmost t.root))
@@ -136,7 +133,7 @@ let range t ?lo ?hi () =
          Array.iter
            (fun (k, p) ->
              if not (below_hi k) then raise Done;
-             if keep_lo k then out := (k, payload_oids p) :: !out)
+             if keep_lo k then out := (k, Postings.to_list p) :: !out)
            l.entries;
          walk l.next
      in
@@ -166,17 +163,16 @@ let rec insert_rec t node key oid =
   | Leaf l ->
     let i = leaf_search l.entries key in
     if i < Array.length l.entries && Value.equal (fst l.entries.(i)) key then begin
-      let p = snd l.entries.(i) in
-      if not (Oid.Table.mem p oid) then begin
-        Oid.Table.replace p oid ();
+      let k, p = l.entries.(i) in
+      if not (Postings.mem p oid) then begin
+        let p' = Postings.add p oid in
+        if p' != p then l.entries.(i) <- (k, p');
         t.n_pairs <- t.n_pairs + 1
       end;
       None
     end
     else begin
-      let p = Oid.Table.create 2 in
-      Oid.Table.replace p oid ();
-      l.entries <- array_insert l.entries i (key, p);
+      l.entries <- array_insert l.entries i (key, Postings.One oid);
       t.n_pairs <- t.n_pairs + 1;
       if Array.length l.entries <= t.order then None
       else begin
@@ -222,10 +218,80 @@ let insert t key oid =
   | Some (sep, right) ->
     t.root <- Node { keys = [| sep |]; children = [| t.root; right |] }
 
-(* --- deletion ------------------------------------------------------------------ *)
-
 let min_leaf_entries t = t.order / 2
 let min_node_children t = (t.order + 1) / 2
+
+(* --- bulk loading ------------------------------------------------------------- *)
+
+(* Nodes about 70% full, as random inserts leave them: a full node would
+   split on the first insert that reaches it. *)
+let fill t least = min t.order (max least ((7 * t.order + 5) / 10))
+
+(* How many nodes [n] items make when packed [fill] to a node, but never so
+   many that an even spread leaves a node under [least]: spread evenly,
+   every node then holds between [least] and [order] items. *)
+let nodes_for ~n ~fill ~least = max 1 (min ((n + fill - 1) / fill) (n / least))
+
+let of_pairs ?order pairs =
+  let t = create ?order () in
+  Array.stable_sort
+    (fun (k1, o1) (k2, o2) ->
+      match Value.compare k1 k2 with 0 -> Oid.compare o1 o2 | c -> c)
+    pairs;
+  (* one entry per run of keys equal under Value.compare, keyed by the
+     run's first value: the one paired with the lowest OID *)
+  let n = Array.length pairs in
+  let entries = Array.make n (Value.Null, Postings.One (Oid.of_int 0)) in
+  let m = ref 0 and i = ref 0 in
+  while !i < n do
+    let k, oid = pairs.(!i) in
+    let p = ref (Postings.One oid) in
+    incr i;
+    while !i < n && Value.compare (fst pairs.(!i)) k = 0 do
+      p := Postings.add !p (snd pairs.(!i));
+      incr i
+    done;
+    t.n_pairs <- t.n_pairs + Postings.cardinal !p;
+    entries.(!m) <- (k, !p);
+    incr m
+  done;
+  let m = !m in
+  let n_leaves = nodes_for ~n:m ~fill:(fill t (min_leaf_entries t)) ~least:(min_leaf_entries t) in
+  let leaves =
+    Array.init n_leaves (fun j ->
+        let lo = j * m / n_leaves and hi = (j + 1) * m / n_leaves in
+        { entries = Array.sub entries lo (hi - lo); next = None })
+  in
+  for j = 0 to n_leaves - 2 do
+    leaves.(j).next <- Some leaves.(j + 1)
+  done;
+  (* each level as (smallest key below, node) *)
+  let level =
+    ref
+      (Array.map
+         (fun l ->
+           ((if Array.length l.entries > 0 then fst l.entries.(0) else Value.Null), Leaf l))
+         leaves)
+  in
+  let least = min_node_children t in
+  while Array.length !level > 1 do
+    let below = !level in
+    let k = Array.length below in
+    let n_nodes = nodes_for ~n:k ~fill:(fill t least) ~least in
+    level :=
+      Array.init n_nodes (fun j ->
+          let lo = j * k / n_nodes and hi = (j + 1) * k / n_nodes in
+          ( fst below.(lo),
+            Node
+              {
+                keys = Array.init (hi - lo - 1) (fun c -> fst below.(lo + c + 1));
+                children = Array.init (hi - lo) (fun c -> snd below.(lo + c));
+              } ))
+  done;
+  t.root <- snd !level.(0);
+  t
+
+(* --- deletion ------------------------------------------------------------------ *)
 
 let first_key_of_subtree node =
   let l = leftmost node in
@@ -311,11 +377,12 @@ let rec remove_rec t node key oid =
   | Leaf l ->
     let i = leaf_search l.entries key in
     if i < Array.length l.entries && Value.equal (fst l.entries.(i)) key then begin
-      let p = snd l.entries.(i) in
-      if Oid.Table.mem p oid then begin
-        Oid.Table.remove p oid;
+      let k, p = l.entries.(i) in
+      if Postings.mem p oid then begin
         t.n_pairs <- t.n_pairs - 1;
-        if Oid.Table.length p = 0 then l.entries <- array_remove l.entries i
+        match Postings.remove p oid with
+        | None -> l.entries <- array_remove l.entries i
+        | Some p' -> if p' != p then l.entries.(i) <- (k, p')
       end
     end
   | Node n ->
@@ -355,7 +422,7 @@ let check_invariants t =
       Array.iteri
         (fun i (k, p) ->
           if not (in_bounds k) then bad "leaf key out of separator bounds";
-          if Oid.Table.length p = 0 then bad "empty payload";
+          if not (Postings.well_formed p) then bad "a Many payload holds < 2 OIDs";
           if i > 0 && Value.compare (fst l.entries.(i - 1)) k >= 0 then
             bad "leaf keys not strictly increasing")
         l.entries;

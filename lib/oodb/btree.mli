@@ -1,5 +1,5 @@
 (** An in-memory B+-tree over {!Value.t} keys, multi-valued (each key maps
-    to a set of OIDs).
+    to a set of OIDs, held inline while it is one: {!Postings}).
 
     Backs the substrate's {e ordered} secondary indexes: equality lookups
     like the hash index, plus range scans for the comparison predicates of
@@ -16,6 +16,15 @@ type t
 val create : ?order:int -> unit -> t
 (** [order] is the maximum number of keys per node (default 16, minimum 4;
     smaller orders are useful in tests to force deep trees). *)
+
+val of_pairs : ?order:int -> (Value.t * Oid.t) array -> t
+(** A tree holding the pairs, built bottom-up in one pass: the array is
+    sorted in place, then loaded into leaves filled to about 70% (the
+    occupancy random inserts leave, so the first later insert does not
+    split), and the internal levels are built over them the same way.  Keys
+    equal under {!Value.compare} share one entry, keyed by the value paired
+    with the lowest OID, as inserting the pairs in OID order would leave
+    it. *)
 
 val insert : t -> Value.t -> Oid.t -> unit
 (** Idempotent per (key, oid) pair. *)

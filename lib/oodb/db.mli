@@ -186,7 +186,10 @@ val create_index :
 (** Secondary index over [attr] for instances of [cls] and its subclasses,
     maintained by every subsequent mutation.  [`Hash] (default) serves
     equality probes; [`Ordered] is a B+-tree ({!Btree}) that additionally
-    serves range scans.  Idempotent per (class, attribute). *)
+    serves range scans.  Idempotent per (class, attribute).  The index is
+    built in one pass over the extents (an ordered one by sorting its pairs
+    and loading the tree bottom-up); snapshot loads and WAL replay build
+    their indexes through here. *)
 
 val drop_index : t -> cls:string -> attr:string -> unit
 
@@ -204,6 +207,11 @@ val index_range :
   Oid.t list
 (** Range probe over an ordered index; bounds are [(value, inclusive)].
     @raise Errors.Type_error when the index is missing or hash-backed. *)
+
+val index_pairs : t -> cls:string -> attr:string -> (Value.t * Oid.t) list
+(** Every (key, OID) pair the index holds, ordered by key ({!Value.compare})
+    then OID, whatever the index's kind or representation.
+    @raise Errors.Type_error when no such index exists. *)
 
 val has_index : t -> cls:string -> attr:string -> bool
 val index_kind : t -> cls:string -> attr:string -> [ `Hash | `Ordered ] option

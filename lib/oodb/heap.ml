@@ -61,23 +61,20 @@ let index_remove ix v oid =
   | Ix_hash entries -> (
     match Hashtbl.find_opt entries v with
     | None -> ()
-    | Some bucket ->
-      Oid.Table.remove bucket oid;
-      if Oid.Table.length bucket = 0 then Hashtbl.remove entries v)
+    | Some p -> (
+      match Postings.remove p oid with
+      | None -> Hashtbl.remove entries v
+      | Some p' -> if p' != p then Hashtbl.replace entries v p'))
   | Ix_ordered tree -> Btree.remove tree v oid
 
 let index_add ix v oid =
   match ix.ix_backing with
-  | Ix_hash entries ->
-    let bucket =
-      match Hashtbl.find_opt entries v with
-      | Some b -> b
-      | None ->
-        let b = Oid.Table.create 4 in
-        Hashtbl.replace entries v b;
-        b
-    in
-    Oid.Table.replace bucket oid ()
+  | Ix_hash entries -> (
+    match Hashtbl.find_opt entries v with
+    | None -> Hashtbl.add entries v (Postings.One oid)
+    | Some p ->
+      let p' = Postings.add p oid in
+      if p' != p then Hashtbl.replace entries v p')
   | Ix_ordered tree -> Btree.insert tree v oid
 
 (* --- store access -------------------------------------------------------- *)

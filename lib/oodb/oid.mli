@@ -16,6 +16,9 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
 
+val sort : t array -> unit
+(** Sort in place, ascending (a radix sort). *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -6,8 +6,9 @@
     (snapshots), {!Wal} (write-ahead logging and crash recovery), {!Storage}
     (pluggable file I/O with a fault-injecting in-memory backend), {!Query}
     / {!Query_parser} (predicate selection with index planning), {!Btree}
-    (ordered index backing), {!Evolution} (runtime schema changes), {!Gc}
-    (reachability collection) and {!Introspect} (reports).
+    (ordered index backing), {!Postings} (a key's OIDs in either index),
+    {!Evolution} (runtime schema changes), {!Gc} (reachability collection)
+    and {!Introspect} (reports).
 
     {!Types} holds the shared record definitions; {!Occurrence} is the
     primitive-event record the event layer consumes. *)
@@ -25,6 +26,7 @@ module Query = Query
 module Query_parser = Query_parser
 module Persist = Persist
 module Storage = Storage
+module Postings = Postings
 module Btree = Btree
 module Wal = Wal
 module Evolution = Evolution

@@ -211,7 +211,10 @@ let unix =
 (* --- the fault-injecting in-memory filesystem ----------------------------- *)
 
 module Mem = struct
-  type file = { mutable durable : string; pending : Buffer.t }
+  (* Both parts grow by appending in place, so a file written in N pieces
+     costs O(N) bytes copied, not the O(N^2) of rebuilding a string per
+     write. *)
+  type file = { durable : Buffer.t; pending : Buffer.t }
 
   type fs = {
     table : (string, file) Hashtbl.t;
@@ -266,7 +269,7 @@ module Mem = struct
     fs.n_ops <- fs.n_ops + 1
 
   let promote f =
-    f.durable <- f.durable ^ Buffer.contents f.pending;
+    Buffer.add_buffer f.durable f.pending;
     Buffer.clear f.pending
 
   let find fs path = Hashtbl.find_opt fs.table path
@@ -275,18 +278,28 @@ module Mem = struct
     match find fs path with
     | Some f -> f
     | None ->
-      let f = { durable = ""; pending = Buffer.create 64 } in
+      let f = { durable = Buffer.create 64; pending = Buffer.create 64 } in
       Hashtbl.replace fs.table path f;
       f
 
-  let live f = f.durable ^ Buffer.contents f.pending
+  let length f = Buffer.length f.durable + Buffer.length f.pending
+
+  let live f =
+    let d = Buffer.length f.durable in
+    let b = Bytes.create (length f) in
+    Buffer.blit f.durable 0 b 0 d;
+    Buffer.blit f.pending 0 b d (Buffer.length f.pending);
+    Bytes.unsafe_to_string b
 
   let contents fs path = match find fs path with Some f -> live f | None -> ""
-  let durable fs path = match find fs path with Some f -> f.durable | None -> ""
+
+  let durable fs path =
+    match find fs path with Some f -> Buffer.contents f.durable | None -> ""
 
   let set_file fs path s =
     let f = get fs path in
-    f.durable <- s;
+    Buffer.clear f.durable;
+    Buffer.add_string f.durable s;
     Buffer.clear f.pending
 
   let files fs =
@@ -294,7 +307,7 @@ module Mem = struct
 
   let reboot fs =
     let fs' = create ~cache:fs.cache () in
-    Hashtbl.iter (fun path f -> set_file fs' path f.durable) fs.table;
+    Hashtbl.iter (fun path f -> set_file fs' path (Buffer.contents f.durable)) fs.table;
     fs'
 
   let append fs f s =
@@ -324,7 +337,7 @@ module Mem = struct
     op fs;
     let f = get fs path in
     if not append then begin
-      f.durable <- "";
+      Buffer.clear f.durable;
       Buffer.clear f.pending
     end;
     {
@@ -342,7 +355,7 @@ module Mem = struct
     {
       name = "mem";
       exists = (fun path -> Hashtbl.mem fs.table path);
-      size = (fun path -> String.length (contents fs path));
+      size = (fun path -> match find fs path with Some f -> length f | None -> 0);
       read_file =
         (fun path ->
           (* reads honour their own crash budget: recovery is a read-only
@@ -377,8 +390,11 @@ module Mem = struct
         (fun path n ->
           op fs;
           let f = get fs path in
-          let s = live f in
-          f.durable <- String.sub s 0 (min n (String.length s));
+          let d = Buffer.length f.durable in
+          if n <= d then Buffer.truncate f.durable n
+          else
+            Buffer.add_string f.durable
+              (Buffer.sub f.pending 0 (min (n - d) (Buffer.length f.pending)));
           Buffer.clear f.pending);
       fsync_dir = (fun _ -> op fs);
     }

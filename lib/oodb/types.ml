@@ -83,9 +83,10 @@ and txn = {
 and index = { ix_class : string; mutable ix_attr : string; ix_backing : index_backing }
 
 (* Hash indexes serve equality probes; ordered (B+-tree) indexes add range
-   scans for comparison predicates. *)
+   scans for comparison predicates.  Both map a key to its OIDs as
+   Postings, inline while the key has one. *)
 and index_backing =
-  | Ix_hash of (Value.t, unit Oid.Table.t) Hashtbl.t
+  | Ix_hash of (Value.t, Postings.t) Hashtbl.t
   | Ix_ordered of Btree.t
 
 (* The compiled slot layout of one class: attribute [i] of an instance lives

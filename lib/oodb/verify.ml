@@ -15,9 +15,9 @@ let check ?(quiescent = false) (db : Db.t) =
         complain "%s: unregistered class %s" (Oid.to_string oid) o.cls
       else begin
         (* extent membership *)
-        (match List.find_opt (Oid.equal oid) (Db.extent db ~deep:false o.cls) with
-        | Some _ -> ()
-        | None -> complain "%s: missing from extent of %s" (Oid.to_string oid) o.cls);
+        (match Hashtbl.find_opt db.extents o.cls with
+        | Some extent when Oid.Table.mem extent oid -> ()
+        | _ -> complain "%s: missing from extent of %s" (Oid.to_string oid) o.cls);
         (* the denormalized info pointer must be the registered one *)
         (match Hashtbl.find_opt db.class_info o.cls with
         | Some ci when ci != o.info ->
@@ -106,22 +106,19 @@ let check ?(quiescent = false) (db : Db.t) =
   (* indexes agree with the data *)
   Hashtbl.iter
     (fun (cls, attr) ix ->
-      let indexed_pairs =
-        match ix.ix_backing with
-        | Ix_hash entries ->
-          Hashtbl.fold
-            (fun v bucket acc ->
-              Oid.Table.fold (fun oid () acc -> (v, oid) :: acc) bucket acc)
-            entries []
-        | Ix_ordered tree ->
-          (match Btree.check_invariants tree with
-          | Ok () -> ()
-          | Error msg -> complain "index %s.%s: btree invariant: %s" cls attr msg);
-          let out = ref [] in
-          Btree.iter tree (fun v oids ->
-              List.iter (fun oid -> out := (v, oid) :: !out) oids);
-          !out
-      in
+      (match ix.ix_backing with
+      | Ix_hash entries ->
+        Hashtbl.iter
+          (fun v p ->
+            if not (Postings.well_formed p) then
+              complain "index %s.%s: key %s holds a set of < 2 OIDs" cls attr
+                (Value.to_string v))
+          entries
+      | Ix_ordered tree -> (
+        match Btree.check_invariants tree with
+        | Ok () -> ()
+        | Error msg -> complain "index %s.%s: btree invariant: %s" cls attr msg));
+      let indexed_pairs = Db.index_pairs db ~cls ~attr in
       (* every index entry matches the object *)
       List.iter
         (fun (v, oid) ->
@@ -139,11 +136,12 @@ let check ?(quiescent = false) (db : Db.t) =
                 (Oid.to_string oid))
         indexed_pairs;
       (* every matching object is indexed *)
-      let indexed_oids = List.map snd indexed_pairs in
+      let indexed_oids = Oid.Table.create 64 in
+      List.iter (fun (_, oid) -> Oid.Table.replace indexed_oids oid ()) indexed_pairs;
       List.iter
         (fun oid ->
           match Db.get_opt db oid attr with
-          | Some _ when not (List.exists (Oid.equal oid) indexed_oids) ->
+          | Some _ when not (Oid.Table.mem indexed_oids oid) ->
             complain "index %s.%s: live object %s not indexed" cls attr
               (Oid.to_string oid)
           | _ -> ())

@@ -195,6 +195,69 @@ let prop_range_is_filter =
          in
          ranged = scanned))
 
+(* --- bulk loading ---------------------------------------------------------------- *)
+
+(* [n] pairs over about [n / dup] distinct keys, OIDs distinct. *)
+let bulk_pairs ~dup n = Array.init n (fun i -> (vi ((i * 7919) mod max 1 (n / dup)), o i))
+
+let test_bulk_invariants () =
+  let sizes = List.init 201 Fun.id @ List.init 25 (fun k -> 201 + (k * 79)) @ [ 2_000 ] in
+  List.iter
+    (fun order ->
+      List.iter
+        (fun n ->
+          List.iter
+            (fun dup ->
+              let pairs = bulk_pairs ~dup n in
+              let t = Btree.of_pairs ~order (Array.copy pairs) in
+              let label = Printf.sprintf "order %d, %d pairs, dup %d" order n dup in
+              check_ok t label;
+              Alcotest.(check int) (label ^ ": cardinal") n (Btree.cardinal t);
+              let inc = Btree.create ~order () in
+              Array.iter (fun (k, oid) -> Btree.insert inc k oid) pairs;
+              if tree_contents t <> tree_contents inc then
+                Alcotest.failf "%s: contents differ from inserting the pairs" label)
+            [ 1; 3 ])
+        sizes)
+    [ 4; 5; 16 ]
+
+(* A bulk-loaded tree stays a B+-tree under later inserts and removals. *)
+let prop_bulk_then_churn =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"bulk load then churn keeps invariants and the model"
+       ~count:150
+       QCheck2.Gen.(triple (oneofl [ 4; 5; 16 ]) ops_gen ops_gen)
+       (fun (order, load, churn) ->
+         let inserts = List.filter fst load in
+         let t =
+           Btree.of_pairs ~order
+             (Array.of_list (List.map (fun (_, (k, id)) -> (vi k, o id)) inserts))
+         in
+         List.iter
+           (fun (ins, (k, id)) ->
+             if ins then Btree.insert t (vi k) (o id) else Btree.remove t (vi k) (o id))
+           churn;
+         let model =
+           model_of_ops (inserts @ churn)
+           |> List.map (fun (k, ids) -> (k, List.sort compare ids))
+           |> List.sort compare
+         in
+         Btree.check_invariants t = Ok () && tree_contents t = model))
+
+(* Keys equal under Value.compare share an entry keyed by the value paired
+   with the lowest OID, wherever that pair sits in the input. *)
+let test_bulk_equal_keys () =
+  let t =
+    Btree.of_pairs ~order:4
+      [| (Value.Float 1., o 9); (vi 2, o 4); (vi 1, o 3); (Value.Float 2., o 1); (vi 1, o 3) |]
+  in
+  check_ok t "equal keys";
+  let keys = ref [] in
+  Btree.iter t (fun k oids -> keys := (k, List.map Oid.to_int oids) :: !keys);
+  Alcotest.(check bool) "lowest OID's value keys each run" true
+    (List.rev !keys = [ (vi 1, [ 3; 9 ]); (Value.Float 2., [ 1; 4 ]) ]);
+  Alcotest.(check int) "duplicate pair counted once" 4 (Btree.cardinal t)
+
 let suite =
   [
     test "empty tree" test_empty;
@@ -207,4 +270,7 @@ let suite =
     prop_model;
     prop_invariants;
     prop_range_is_filter;
+    test "bulk load: invariants at 0-2000 pairs, orders 4/5/16" test_bulk_invariants;
+    test "bulk load: equal keys keep the lowest OID's value" test_bulk_equal_keys;
+    prop_bulk_then_churn;
   ]

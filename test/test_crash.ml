@@ -565,6 +565,83 @@ let test_attach_repairs_torn_tail () =
     (Db.get db3 a "balance");
   Verify.check_exn ~quiescent:true db3
 
+(* --- rule lifecycle: a crash leaves each rule absent or whole ---------------- *)
+
+let rules_log = "rules.wal"
+
+let rule_system db =
+  Banking.install db;
+  let sys = System.create db in
+  System.register_action sys "noop" (fun _ _ -> ());
+  sys
+
+(* Outside any transaction, create rule "old" monitoring two accounts and
+   the account class, crash the storage after [crash_ops] more operations,
+   then create "new" with the same subscriptions and delete "old". *)
+let run_rule_lifecycle crash_ops =
+  let fs = Mem.create () in
+  let db = Db.create () in
+  let sys = rule_system db in
+  ignore (System.attach_wal ~storage:(Mem.storage fs) sys rules_log);
+  let account owner =
+    Db.new_object db Banking.account_class ~attrs:[ ("owner", Value.Str owner) ]
+  in
+  let accounts = [ account "a"; account "b" ] in
+  let create name =
+    ignore
+      (System.create_rule sys ~name ~monitor:accounts
+         ~monitor_classes:[ Banking.account_class ]
+         ~event:(Expr.eom ~cls:Banking.account_class "deposit")
+         ~condition:"true" ~action:"noop" ())
+  in
+  create "old";
+  Mem.crash_after_ops fs crash_ops;
+  match
+    create "new";
+    System.delete_rule sys (Option.get (System.find_rule sys "old"))
+  with
+  | () -> (fs, accounts, `Completed)
+  | exception Storage.Crash -> (fs, accounts, `Crashed)
+
+let test_rule_lifecycle_crash_points () =
+  let n = ref 0 and completed = ref false in
+  while not !completed do
+    if !n > 100 then Alcotest.fail "rule lifecycle never completed";
+    let fs, accounts, outcome = run_rule_lifecycle !n in
+    completed := outcome = `Completed;
+    let fs' = Mem.reboot fs in
+    let db = Db.create () in
+    let sys = rule_system db in
+    ignore
+      (Wal.recover ~storage:(Mem.storage fs') db ~snapshot:"rules.db" ~wal:rules_log);
+    System.rehydrate sys;
+    Verify.check_exn ~quiescent:true db;
+    let subscribed r =
+      List.map (fun a -> List.exists (Oid.equal r) (Db.consumers_of db a)) accounts
+      @ [ List.exists (Oid.equal r) (Db.class_consumers_of db Banking.account_class) ]
+    in
+    let rules = System.rules sys in
+    List.iter
+      (fun r ->
+        if List.mem false (subscribed r) then
+          Alcotest.failf "crash after %d ops: rule %s recovered without all of its \
+                          subscriptions" !n (Oid.to_string r))
+      rules;
+    (* an absent rule leaves no subscription behind *)
+    List.iter
+      (fun c ->
+        if not (Db.exists db c) then
+          Alcotest.failf "crash after %d ops: a subscription names missing %s" !n
+            (Oid.to_string c))
+      (Db.class_consumers_of db Banking.account_class
+      @ List.concat_map (Db.consumers_of db) accounts);
+    if !completed then
+      Alcotest.(check (list string)) "completed: only the new rule" [ "new" ]
+        (List.map (fun r -> (System.rule_info sys r).Sentinel.Rule.name) rules);
+    incr n
+  done;
+  Alcotest.(check bool) "enumerated a real operation sequence" true (!n > 2)
+
 let suite =
   [
     test "every byte prefix recovers" test_every_byte_prefix;
@@ -579,4 +656,6 @@ let suite =
     test "compaction crash points" test_compaction_crash_points;
     test "transient write faults retried" test_transient_faults_retried;
     test "attach repairs a torn tail" test_attach_repairs_torn_tail;
+    test "rule lifecycle crash points: each rule absent or whole"
+      test_rule_lifecycle_crash_points;
   ]

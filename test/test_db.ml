@@ -157,6 +157,20 @@ let test_no_such_object () =
       ignore (Db.get db ghost "x"));
   Alcotest.(check bool) "exists false" false (Db.exists db ghost)
 
+(* The radix sort behind Db.extent and index builds agrees with a
+   comparison sort, on both sides of its short-array cutoff and for OIDs of
+   up to 40 bits. *)
+let test_oid_sort () =
+  let rng = Random.State.make [| 5 |] in
+  List.iter
+    (fun (n, bound) ->
+      let a = Array.init n (fun _ -> Oid.of_int (Random.State.full_int rng bound)) in
+      let expected = List.sort Oid.compare (Array.to_list a) in
+      Oid.sort a;
+      Alcotest.(check (list oid)) (Printf.sprintf "%d OIDs below %d" n bound) expected
+        (Array.to_list a))
+    [ (0, 1); (1, 10); (255, 1_000); (256, 1_000); (3_000, 100_000); (3_000, 1 lsl 40) ]
+
 let suite =
   [
     test "object lifecycle" test_object_lifecycle;
@@ -171,4 +185,5 @@ let suite =
     test "extents" test_extents;
     test "logical clock" test_clock;
     test "missing objects" test_no_such_object;
+    test "Oid.sort = comparison sort" test_oid_sort;
   ]

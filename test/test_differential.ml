@@ -362,18 +362,7 @@ let test_routing_churn () =
 
 (* --- index upkeep on create and delete ----------------------------------------- *)
 
-let index_pairs db ~cls ~attr =
-  let ix = Hashtbl.find db.Oodb.Types.indexes (cls, attr) in
-  (match ix.Oodb.Types.ix_backing with
-  | Oodb.Types.Ix_hash entries ->
-    Hashtbl.fold
-      (fun v bucket acc -> Oid.Table.fold (fun o () acc -> (v, o) :: acc) bucket acc)
-      entries []
-  | Oodb.Types.Ix_ordered tree ->
-    let acc = ref [] in
-    Oodb.Btree.iter tree (fun v os -> List.iter (fun o -> acc := (v, o) :: !acc) os);
-    !acc)
-  |> List.sort compare
+let index_pairs db ~cls ~attr = Db.index_pairs db ~cls ~attr |> List.sort compare
 
 (* 1,000 creates and deletes of employees and managers (some rolled back)
    under hash and ordered indexes declared on the superclass, with a third

@@ -1,5 +1,6 @@
 open Helpers
 module Query = Oodb.Query
+module Verify = Oodb.Verify
 
 let db_with_index () =
   let db = employee_db () in
@@ -144,6 +145,115 @@ let prop_index_matches_scan =
       let indexed = Query.select db "employee" p in
       List.map Oid.to_int scan = List.map Oid.to_int indexed)
 
+(* --- bulk builds equal incremental ones ----------------------------------------- *)
+
+(* Int 1 and Float 1. are equal under Value.compare (one ordered-index key)
+   but distinct hash keys. *)
+let salary_pool =
+  [| Value.Int 1; Value.Float 1.; Value.Int 2; Value.Float 2.5; Value.Str "x"; Value.Null |]
+
+type index_op =
+  | Create of bool * int  (** a manager?, salary *)
+  | Delete of int
+  | Set of int * int
+  | Rolled_back of int * int  (** create, set and delete, then abort *)
+
+let index_op_gen =
+  let open QCheck2.Gen in
+  let v = int_bound (Array.length salary_pool - 1) and k = int_bound 50 in
+  frequency
+    [
+      (4, map2 (fun m v -> Create (m, v)) bool v);
+      (2, map (fun k -> Delete k) k);
+      (4, map2 (fun k v -> Set (k, v)) k v);
+      (1, map2 (fun k v -> Rolled_back (k, v)) k v);
+    ]
+
+let apply_index_ops db ops =
+  let live = ref [] in
+  let pick k = List.nth !live (k mod List.length !live) in
+  let create mgr v =
+    Db.new_object db (if mgr then "manager" else "employee")
+      ~attrs:[ ("salary", salary_pool.(v)) ]
+  in
+  List.iter
+    (fun op ->
+      match op with
+      | Create (mgr, v) -> live := create mgr v :: !live
+      | _ when !live = [] -> ()
+      | Delete k ->
+        let o = pick k in
+        Db.delete_object db o;
+        live := List.filter (fun x -> not (Oid.equal x o)) !live
+      | Set (k, v) -> Db.set db (pick k) "salary" salary_pool.(v)
+      | Rolled_back (k, v) ->
+        Transaction.begin_ db;
+        ignore (create (k mod 2 = 0) v);
+        Db.set db (pick k) "salary" salary_pool.((v + 1) mod Array.length salary_pool);
+        Db.delete_object db (pick (k + 1));
+        Transaction.abort db)
+    ops
+
+(* Indexes on a class and on its subclass, maintained incrementally through
+   the ops, then dropped and rebuilt in bulk: same pairs (keys exactly equal
+   for a hash index, equal under Value.compare for an ordered one, whose
+   entry keeps whichever equal value reached it first), same lookups, and
+   both pass Verify. *)
+let prop_bulk_equals_incremental =
+  QCheck2.Test.make ~name:"bulk-built index = incrementally built index" ~count:100
+    QCheck2.Gen.(pair (oneofl [ `Hash; `Ordered ]) (list_size (int_bound 120) index_op_gen))
+    (fun (kind, ops) ->
+      let db = employee_db () in
+      let indexes = [ ("employee", "salary"); ("manager", "salary") ] in
+      List.iter (fun (cls, attr) -> Db.create_index db ~kind ~cls ~attr ()) indexes;
+      apply_index_ops db ops;
+      let view (cls, attr) =
+        ( Db.index_pairs db ~cls ~attr,
+          Array.map (Db.index_lookup db ~cls ~attr) salary_pool )
+      in
+      let incremental = List.map view indexes in
+      let ok_incremental = Verify.check db = Ok () in
+      List.iter
+        (fun (cls, attr) ->
+          Db.drop_index db ~cls ~attr;
+          Db.create_index db ~kind ~cls ~attr ())
+        indexes;
+      let bulk = List.map view indexes in
+      let same_key a b = if kind = `Hash then compare a b = 0 else Value.equal a b in
+      let same_pairs a b =
+        List.length a = List.length b
+        && List.for_all2 (fun (k1, o1) (k2, o2) -> Oid.equal o1 o2 && same_key k1 k2) a b
+      in
+      ok_incremental
+      && Verify.check db = Ok ()
+      && List.for_all2
+           (fun (p1, l1) (p2, l2) -> same_pairs p1 p2 && l1 = l2)
+           incremental bulk)
+
+(* A key's OID set grows from one to three and shrinks back to none, under
+   both kinds, built incrementally and in bulk at each step. *)
+let test_one_many_one () =
+  List.iter
+    (fun kind ->
+      let db = employee_db () in
+      Db.create_index db ~kind ~cls:"employee" ~attr:"salary" ();
+      let es = List.init 3 (fun _ -> new_employee db ~salary:5.) in
+      let check label expected =
+        let lookup () = Db.index_lookup db ~cls:"employee" ~attr:"salary" (Value.Float 5.) in
+        Alcotest.(check (list oid)) label expected (lookup ());
+        Alcotest.(check bool) (label ^ ": verify") true (Verify.check db = Ok ());
+        Db.drop_index db ~cls:"employee" ~attr:"salary";
+        Db.create_index db ~kind ~cls:"employee" ~attr:"salary" ();
+        Alcotest.(check (list oid)) (label ^ ": bulk") expected (lookup ())
+      in
+      check "three" es;
+      List.iteri
+        (fun i e ->
+          Db.set db e "salary" (Value.Float 6.);
+          check (Printf.sprintf "%d left" (2 - i)) (List.filteri (fun j _ -> j > i) es))
+        es)
+    [ `Hash; `Ordered ]
+
 let suite =
   [
     test "index builds over existing objects" test_index_builds_over_existing;
@@ -156,4 +266,6 @@ let suite =
     test "ordered index" test_ordered_index;
     test "query uses ordered index" test_query_uses_ordered_index;
     QCheck_alcotest.to_alcotest prop_index_matches_scan;
+    QCheck_alcotest.to_alcotest prop_bulk_equals_incremental;
+    test "a key goes one -> many -> one" test_one_many_one;
   ]

@@ -82,6 +82,31 @@ let test_db_roundtrip () =
   Alcotest.(check bool) "fresh oid distinct" true
     (not (List.exists (Oid.equal fresh) [ e1; e2; collector ]))
 
+(* A snapshot load rebuilds every index through the bulk path: the loaded
+   store verifies clean and its indexes hold the saved pairs. *)
+let test_load_rebuilds_indexes () =
+  let db = employee_db () in
+  let _sys = System.create db in
+  List.iteri
+    (fun i salary ->
+      ignore
+        (new_employee db
+           ~cls:(if i mod 3 = 0 then "manager" else "employee")
+           ~name:(Printf.sprintf "e%d" (i mod 7))
+           ~salary))
+    (List.init 60 (fun i -> float_of_int (i mod 11)));
+  Db.set db (List.hd (Db.extent db "employee")) "salary" (Value.Int 3);
+  Db.create_index db ~cls:"employee" ~attr:"salary" ();
+  Db.create_index db ~kind:`Ordered ~cls:"employee" ~attr:"name" ();
+  Db.create_index db ~kind:`Ordered ~cls:"manager" ~attr:"salary" ();
+  let db2 = reload db in
+  Alcotest.(check bool) "loaded store verifies" true (Oodb.Verify.check ~quiescent:true db2 = Ok ());
+  List.iter
+    (fun (cls, attr) ->
+      Alcotest.(check bool) (cls ^ "." ^ attr ^ " pairs") true
+        (Db.index_pairs db ~cls ~attr = Db.index_pairs db2 ~cls ~attr))
+    [ ("employee", "salary"); ("employee", "name"); ("manager", "salary") ]
+
 let test_roundtrip_is_fixpoint () =
   let db, _, _, _ = populated_db () in
   let once = Persist.to_string db in
@@ -233,6 +258,7 @@ let suite =
     test "value codec rejects garbage" test_value_codec_errors;
     prop_value_roundtrip;
     test "database roundtrip" test_db_roundtrip;
+    test "load rebuilds indexes" test_load_rebuilds_indexes;
     test "serialization is a fixpoint" test_roundtrip_is_fixpoint;
     test "load error handling" test_load_errors;
     test "save/load via file" test_save_load_file;

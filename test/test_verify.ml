@@ -57,6 +57,9 @@ let test_detects_corruption () =
   (match ix.Oodb.Types.ix_backing with
   | Oodb.Types.Ix_hash entries -> Hashtbl.remove entries (Value.Float 3.)
   | Oodb.Types.Ix_ordered _ -> assert false);
+  (* the index's own fold, which Verify reads too, no longer holds the pair *)
+  Alcotest.(check bool) "pair gone from the index" false
+    (List.exists (fun (_, o) -> Oid.equal o e) (Db.index_pairs db ~cls:"employee" ~attr:"salary"));
   (match Verify.check db with
   | Error ps ->
     Alcotest.(check bool) "flags unindexed object" true

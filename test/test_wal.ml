@@ -873,6 +873,35 @@ let test_unix_zero_tail_round_trip () =
             (Db.get db3 f "salary");
           Alcotest.(check int) "still nothing discarded" 0 (discarded db3)))
 
+(* The in-memory store appends in place: 50k writes of 75 bytes, with and
+   without a volatile cache, leave exactly their concatenation (live, and
+   durable once fsynced), and truncation and reboot keep byte prefixes. *)
+let test_mem_append_linear () =
+  let module Mem = Oodb.Storage.Mem in
+  let piece k = Printf.sprintf "%074d\n" k in
+  let expected = String.concat "" (List.init 50_000 piece) in
+  List.iter
+    (fun cache ->
+      let fs = Mem.create ~cache () in
+      let storage = Mem.storage fs in
+      let w = storage.open_log ~append:true "big.log" in
+      for k = 0 to 49_999 do
+        w.write (piece k)
+      done;
+      Alcotest.(check int) "size" (String.length expected) (storage.size "big.log");
+      Alcotest.(check bool) "live contents" true (Mem.contents fs "big.log" = expected);
+      Alcotest.(check bool) "durable before fsync" true
+        (Mem.durable fs "big.log" = if cache then "" else expected);
+      w.fsync ();
+      Alcotest.(check bool) "durable after fsync" true (Mem.durable fs "big.log" = expected);
+      w.write "tail";
+      storage.truncate "big.log" 150;
+      Alcotest.(check string) "truncated to a prefix" (String.sub expected 0 150)
+        (Mem.contents fs "big.log");
+      Alcotest.(check string) "reboot keeps the durable prefix" (String.sub expected 0 150)
+        (Mem.durable (Mem.reboot fs) "big.log"))
+    [ false; true ]
+
 let suite =
   [
     test "autocommit logging" test_autocommit_logging;
@@ -919,4 +948,5 @@ let suite =
     test "all-zero log is re-initialised" test_all_zero_log_reinitialised;
     test "unix zero tail round trip" test_unix_zero_tail_round_trip;
     prop_replay_equals_original;
+    test "mem storage appends in linear time" test_mem_append_linear;
   ]
