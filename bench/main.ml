@@ -563,56 +563,13 @@ let e10 () =
     (Value.to_string (Db.get db parker "shares"))
 
 (* ------------------------------------------------------------------------- *)
-(* E11: shared event graph vs naive per-detector dispatch (§1 issue 3)        *)
-(* ------------------------------------------------------------------------- *)
-
-let e11 () =
-  header "E11: event-graph routing vs feeding every detector (10k occurrences)";
-  row "  %8s  %12s  %12s  %14s\n" "#rules" "naive" "graph" "leaf offers";
-  let n_occurrences = 10_000 in
-  List.iter
-    (fun m ->
-      let exprs =
-        List.init m (fun i ->
-            Expr.seq
-              (Expr.eom (Printf.sprintf "open%d" (i mod m)))
-              (Expr.eom (Printf.sprintf "close%d" (i mod m))))
-      in
-      let stream =
-        List.init n_occurrences (fun i ->
-            Oodb.Occurrence.make ~source:(Oid.of_int 1) ~source_class:"c"
-              ~meth:(Printf.sprintf "open%d" (i mod m))
-              ~modifier:Oodb.Types.After ~params:[] ~at:(i + 1))
-      in
-      (* naive: every occurrence offered to every detector *)
-      let detectors =
-        List.map (fun e -> Detector.create ~on_signal:(fun _ -> ()) e) exprs
-      in
-      let (), naive_ms =
-        time_ms (fun () ->
-            List.iter
-              (fun occ -> List.iter (fun d -> Detector.feed d occ) detectors)
-              stream)
-      in
-      (* graph: indexed by (method, modifier) *)
-      let g = Events.Event_graph.create () in
-      List.iter
-        (fun e -> ignore (Events.Event_graph.subscribe g ~on_signal:(fun _ -> ()) e))
-        exprs;
-      let (), graph_ms =
-        time_ms (fun () -> List.iter (Events.Event_graph.feed g) stream)
-      in
-      row "  %8d  %12s  %12s  %14d\n" m (fmt_ms naive_ms) (fmt_ms graph_ms)
-        (Events.Event_graph.routed g))
-    [ 10; 100; 1000 ]
-
-(* ------------------------------------------------------------------------- *)
 (* E12: secondary-index ablation (substrate completeness)                     *)
 (* ------------------------------------------------------------------------- *)
 
-(* What an index costs to build, in time and in live memory, over 100k
-   unique keys; and the snapshot load that rebuilds one (recovery and shard
-   restarts end in it).  Times are the median of 5 builds. *)
+(* What creating 100k objects costs (one run), what an index over their
+   unique keys costs to build, in time and in live memory, and the snapshot
+   load that rebuilds one (recovery and shard restarts end in it).  Build
+   and load times are the median of 5. *)
 let e12_build () =
   let n = if Sys.getenv_opt "BENCH_SMOKE" <> None then 5_000 else 100_000 in
   header (Printf.sprintf "E12: index build over %d unique keys, and a snapshot load" n);
@@ -620,15 +577,19 @@ let e12_build () =
   let db = Db.create () in
   Workloads.Payroll.install db;
   let rng = Prng.create 12 in
-  for i = 0 to n - 1 do
-    ignore
-      (Db.new_object db "employee"
-         ~attrs:
-           [
-             ("name", Value.Str (Printf.sprintf "emp-%d" i));
-             ("salary", Value.Float (Prng.float rng 10_000.));
-           ])
-  done;
+  let names = Array.init n (Printf.sprintf "emp-%d") in
+  let salaries = Array.init n (fun _ -> Prng.float rng 10_000.) in
+  Gc.full_major ();
+  let (), populate_ms =
+    time_ms (fun () ->
+        for i = 0 to n - 1 do
+          ignore
+            (Db.new_object db "employee"
+               ~attrs:
+                 [ ("name", Value.Str names.(i)); ("salary", Value.Float salaries.(i)) ])
+        done)
+  in
+  row "  create %d objects  %10s\n" n (fmt_ms populate_ms);
   let live_words () =
     Gc.full_major ();
     (Gc.stat ()).Gc.live_words
@@ -2542,7 +2503,7 @@ let experiments =
   [
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5);
     ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10);
-    ("e11", e11); ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15);
+    ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15);
     ("routing", e_routing);
     ("oltp", e_oltp);
     ("recovery", e_recovery);

@@ -825,9 +825,7 @@ let delete_rule t oid =
   Db.unsubscribe_all db ~consumer:oid;
   Db.delete_object db oid
 
-let rules t =
-  Oid.Table.fold (fun oid _ acc -> oid :: acc) t.rule_table []
-  |> List.sort Oid.compare
+let rules t = Array.to_list (Oid.sorted_keys t.rule_table)
 
 let find_rule t name =
   let found =
@@ -907,17 +905,24 @@ let attach_handler t oid handler =
 
 (* --- time, rehydration ------------------------------------------------------ *)
 
+(* Expiry only drops buffered state, so the walk's order cannot be seen. *)
 let expire_partial_state t ~max_age =
   let before = Db.now t.sys_db - max_age in
   Oid.Table.iter
     (fun _ r -> Detector.expire r.Rule.detector ~before)
     t.rule_table
 
+(* Rules are advanced in ascending OID (creation) order, so the periodic
+   and relative firings one call releases run in that order.  A rule that
+   a firing deletes is skipped; one it creates waits for the next call. *)
 let advance_time t now =
   Db.advance_clock t.sys_db now;
-  Oid.Table.iter
-    (fun _ r -> if r.Rule.enabled then Detector.advance r.Rule.detector now)
-    t.rule_table
+  Array.iter
+    (fun oid ->
+      match Oid.Table.find_opt t.rule_table oid with
+      | Some r when r.Rule.enabled -> Detector.advance r.Rule.detector now
+      | _ -> ())
+    (Oid.sorted_keys t.rule_table)
 
 (* --- batched ingestion ------------------------------------------------------ *)
 

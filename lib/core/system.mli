@@ -251,7 +251,8 @@ val expire_partial_state : t -> max_age:int -> unit
 
 val advance_time : t -> int -> unit
 (** Advance the logical clock (see {!Db.advance_clock}) and let every
-    enabled rule's detector fire due periodic/relative events. *)
+    enabled rule's detector fire due periodic/relative events, rule by rule
+    in ascending OID (creation) order. *)
 
 val ingest :
   t -> (Oid.t * string * Oodb.Value.t list) list -> (Oodb.Value.t list, exn) result

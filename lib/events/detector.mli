@@ -83,10 +83,10 @@ val instance_of_occurrence : Occurrence.t -> instance
 (** The singleton instance a primitive occurrence denotes; exposed for
     tests and for rules over bare primitive events. *)
 
-(** {1 Leaf-level access (used by {!Event_graph})}
+(** {1 Leaf-level access (used by {!Route})}
 
-    A leaf is one primitive-event node of the compiled tree.  The shared
-    event graph indexes all detectors' leaves by (method, modifier) so that
+    A leaf is one primitive-event node of the compiled tree.  The route
+    index keys all detectors' leaves by (method, modifier) so that
     an occurrence only reaches detectors with a potentially matching leaf,
     instead of being offered to every detector. *)
 

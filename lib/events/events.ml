@@ -4,10 +4,9 @@
     constructors, composed with the Snoop operators); {!Parser} gives them
     a concrete syntax; {!Codec} a persistent encoding.  {!Detector}
     compiles an expression into a running detector under a parameter
-    {!Context}; {!Event_graph} routes occurrences to many detectors through
-    a (method, modifier) index, and {!Route} generalizes that index to the
-    full rule layer (subscription filtering, lifecycle, cached class
-    subsumption). *)
+    {!Context}; {!Route} routes occurrences to many detectors through a
+    (method, modifier) index over their leaves, with the rule layer's
+    subscription filtering, lifecycle and cached class subsumption. *)
 
 module Context = Context
 module Signature = Signature
@@ -15,5 +14,4 @@ module Expr = Expr
 module Detector = Detector
 module Codec = Codec
 module Parser = Parser
-module Event_graph = Event_graph
 module Route = Route

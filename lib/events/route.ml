@@ -81,6 +81,12 @@ type t = {
   regs : reg Oid.Table.t;  (* detector registrations, by consumer *)
   temporal : reg Oid.Table.t;  (* subset whose detectors need clock driving *)
   wildcards : reg Oid.Table.t;  (* handlers that hear every subscribed event *)
+  (* [wildcards] and [temporal] in ascending consumer OID, the order a
+     delivery calls them in; rebuilt by the first delivery after either
+     table changed *)
+  mutable wildcard_order : reg array;
+  mutable temporal_order : reg array;
+  mutable order_stale : bool;
   mutable seq : int;
   (* bumped whenever the index's buckets change (register/unregister); the
      batched delivery path stamps its per-batch key memo against it so a
@@ -102,6 +108,9 @@ let create db =
     regs = Oid.Table.create 64;
     temporal = Oid.Table.create 8;
     wildcards = Oid.Table.create 8;
+    wildcard_order = [||];
+    temporal_order = [||];
+    order_stale = false;
     seq = 0;
     reg_gen = 0;
     memo = None;
@@ -160,9 +169,18 @@ let unregister t consumer =
   | Some reg ->
     drop_entries t reg;
     Oid.Table.remove t.regs consumer;
-    if reg.r_temporal then Oid.Table.remove t.temporal consumer
+    if reg.r_temporal then begin
+      Oid.Table.remove t.temporal consumer;
+      t.order_stale <- true
+    end
   | None -> ());
-  Oid.Table.remove t.wildcards consumer
+  match Oid.Table.find_opt t.wildcards consumer with
+  | Some reg ->
+    (* a delivery under way skips it from here on *)
+    reg.r_dead <- true;
+    Oid.Table.remove t.wildcards consumer;
+    t.order_stale <- true
+  | None -> ()
 
 let default_guard () = true
 
@@ -214,14 +232,21 @@ let register t ~consumer ?(guard = default_guard) ~on_receive detector =
     leaves;
   t.reg_gen <- t.reg_gen + 1;
   Oid.Table.replace t.regs consumer reg;
-  if temporal then Oid.Table.replace t.temporal consumer reg
+  if temporal then begin
+    Oid.Table.replace t.temporal consumer reg;
+    t.order_stale <- true
+  end
 
 let register_wildcard t ~consumer ?(guard = default_guard) handler =
   let reg =
     make_reg ~consumer ~detector:None ~guard ~on_receive:handler
       ~temporal:false
   in
-  Oid.Table.replace t.wildcards consumer reg
+  (match Oid.Table.find_opt t.wildcards consumer with
+  | Some old -> old.r_dead <- true
+  | None -> ());
+  Oid.Table.replace t.wildcards consumer reg;
+  t.order_stale <- true
 
 let registered t consumer =
   Oid.Table.mem t.regs consumer || Oid.Table.mem t.wildcards consumer
@@ -302,6 +327,12 @@ let entries_of_bucket b =
     l
   | l -> l
 
+let refresh_order t =
+  let order tbl = Array.map (Oid.Table.find tbl) (Oid.sorted_keys tbl) in
+  t.wildcard_order <- order t.wildcards;
+  t.temporal_order <- order t.temporal;
+  t.order_stale <- false
+
 (* The per-occurrence delivery body, over an already-resolved candidate
    list.  [entries = []] means the key had no bucket — the single-event path
    probes the index itself; the batched path resolves each distinct key once
@@ -317,23 +348,25 @@ let deliver_entries t (o : Oodb.Types.obj) (occ : Occurrence.t) entries =
       reg.r_on_receive occ
     end
   in
+  if t.order_stale then refresh_order t;
   (* Ad-hoc handlers hear every occurrence they are subscribed to,
      whatever its method — they have no leaves to index. *)
-  Oid.Table.iter
-    (fun _ reg -> if reg.r_guard () && subscribed t reg o then receive reg)
-    t.wildcards;
+  Array.iter
+    (fun reg ->
+      if (not reg.r_dead) && reg.r_guard () && subscribed t reg o then receive reg)
+    t.wildcard_order;
   (* Temporal detectors must observe the clock from every occurrence their
      owner is subscribed to, even when no leaf matches — broadcast feeding
      gave them that for free. *)
-  Oid.Table.iter
-    (fun _ reg ->
-      if reg.r_guard () && subscribed t reg o then begin
+  Array.iter
+    (fun reg ->
+      if (not reg.r_dead) && reg.r_guard () && subscribed t reg o then begin
         receive reg;
         match reg.r_detector with
         | Some d -> Detector.advance d occ.Oodb.Occurrence.at
         | None -> ()
       end)
-    t.temporal;
+    t.temporal_order;
   match entries with
   | [] -> ()
   | entries ->

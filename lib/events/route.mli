@@ -19,9 +19,9 @@ open Import
     invalidates them by bumping a stamp, costing one integer compare per
     probe in the steady state.
 
-    This generalizes {!Event_graph} (an index over bare detectors) to the
-    full rule layer: subscription filtering, enable/disable lifecycle and
-    temporal clock driving.
+    Beyond indexing bare detectors it carries the full rule layer:
+    subscription filtering, enable/disable lifecycle and temporal clock
+    driving.
 
     Observable differences from broadcast delivery, by design: a consumer's
     [on_receive] fires only for occurrences whose (method, modifier) has a
@@ -91,7 +91,9 @@ val registered : t -> Oid.t -> bool
 val deliver : t -> Oodb.Types.obj -> Occurrence.t -> unit
 (** Route one occurrence: wildcard handlers first, then clock advancement
     for subscribed temporal detectors, then the (method, modifier) bucket
-    probe.  Installed as the database's {!Db.set_route} hook. *)
+    probe.  Wildcard handlers, and then temporal detectors, are called in
+    ascending consumer OID; bucket candidates in registration order.
+    Installed as the database's {!Db.set_route} hook. *)
 
 val deliver_many : t -> (Oodb.Types.obj * Occurrence.t) list -> unit
 (** Route a batch in order under one {!with_batch} scope: the

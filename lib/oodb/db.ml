@@ -199,12 +199,12 @@ let has_class db name = Hashtbl.mem db.classes name
 
 let new_object db ?(attrs = []) cls =
   let info = info db cls in
-  let o = Heap.make_obj db ~id:(Oid.of_int 0) ~cls ~info ~seed:`Defaults ~consumers:[] in
+  let store = Heap.fresh_store db info `Defaults in
   (* the declared attribute set is exactly what `Defaults seeded: each name
      resolves to its slot once, by position when [attrs] follows the layout
      (as System's rule and event objects do), by hash otherwise *)
   let put =
-    match o.store with
+    match store with
     | S_slots slots ->
       let names = info.ri_layout.ly_names in
       let next = ref 0 in
@@ -226,7 +226,8 @@ let new_object db ?(attrs = []) cls =
   List.iter put attrs;
   let id = Oid.of_int db.next_oid in
   db.next_oid <- db.next_oid + db.oid_stride;
-  let o = { o with id } in
+  (* the record is built once, filled store and final OID together *)
+  let o = Heap.make_obj ~id ~cls ~info ~store ~consumers:[] in
   Heap.insert_obj db o;
   Transaction.log_undo db (U_created id);
   (match db.on_journal with
@@ -492,9 +493,8 @@ let unsubscribe_all db ~consumer =
     Oid.Table.remove db.subscriptions consumer;
     Transaction.log_undo db
       (U_runtime (fun () -> Oid.Table.replace db.subscriptions consumer subs));
-    Oid.Table.fold (fun r () acc -> r :: acc) subs.sb_objects []
-    |> List.sort Oid.compare
-    |> List.iter (fun r -> drop_consumer db (Heap.find_obj db r) consumer);
+    Oid.sorted_keys subs.sb_objects
+    |> Array.iter (fun r -> drop_consumer db (Heap.find_obj db r) consumer);
     List.sort String.compare subs.sb_classes
     |> List.iter (fun cls ->
            drop_class_consumer db cls (raw_class_consumers db cls) consumer)

@@ -31,6 +31,8 @@ let refresh_info db cls =
       match Hashtbl.find_opt db.extents name with
       | None -> ()
       | Some ext ->
+        (* each object is rewritten on its own, logging and raising
+           nothing, so the walk's order cannot be seen *)
         Oid.Table.iter
           (fun oid () -> Heap.migrate_obj (Heap.find_obj_any db oid) ninfo)
           ext)

@@ -159,26 +159,24 @@ let fresh_store db (info : class_info) seed =
     S_table tbl
   end
 
-let make_obj db ~id ~cls ~info ~seed ~consumers =
-  {
-    id;
-    cls;
-    info;
-    store = fresh_store db info seed;
-    consumers;
-    alive = true;
-    dirty_gen = 0;
-  }
+let make_obj ~id ~cls ~info ~store ~consumers =
+  { id; cls; info; store; consumers; alive = true; dirty_gen = 0 }
 
 (* --- mutation ------------------------------------------------------------ *)
 
 (* Dirty tracking for incremental checkpoints: the generation stamp keeps
    the steady-state cost of re-touching an already-dirty object to one
-   load+compare; the hashtable write happens once per object per epoch. *)
+   load+compare; the hashtable write happens once per object per epoch.
+   The set starts at the first checkpoint base: until one is saved, loaded
+   or applied ([ckpt_gen] still 1), every live object is dirty relative to
+   nothing, so [Persist.write_delta] walks them all and the set stays
+   empty.  [dirty_dead] is kept from the start. *)
+let no_base db = db.ckpt_gen = 1
+
 let mark_dirty db (o : obj) =
   if o.dirty_gen <> db.ckpt_gen then begin
     o.dirty_gen <- db.ckpt_gen;
-    Oid.Table.replace db.dirty o.id ()
+    if not (no_base db) then Oid.Table.replace db.dirty o.id ()
   end
 
 let clear_dirty db =

@@ -4,7 +4,16 @@ let of_int n = n
 let to_int n = n
 let equal = Int.equal
 let compare = Int.compare
-let hash = Hashtbl.hash
+(* Consecutive OIDs land in consecutive buckets, so a bulk creation or an
+   extent walk in OID order touches the bucket array and the bucket cells
+   (allocated in that same order) sequentially.  The shifted xor folds bits
+   3 and up into the low bits: OIDs a shard allocates at a stride of 2, 4
+   or 8 still reach every bucket, not one in [stride].  The low k bits of
+   the hash depend only on the OID's low k + 3 bits, one-to-one once those
+   top three are fixed, so of the OIDs below 8 times a table's 2^k buckets
+   each bucket gets exactly eight.  Negative OIDs (built by hand with
+   [of_int]) hash like any other bit pattern. *)
+let hash x = x lxor (x lsr 3)
 let pp ppf n = Format.fprintf ppf "@@%d" n
 let to_string n = "@" ^ string_of_int n
 
@@ -52,3 +61,14 @@ let sort a =
     done;
     if !src != a then Array.blit !src 0 a 0 n
   end
+
+let sorted_keys tbl =
+  let a = Array.make (Table.length tbl) 0 in
+  let n = ref 0 in
+  Table.iter
+    (fun k _ ->
+      a.(!n) <- k;
+      incr n)
+    tbl;
+  sort a;
+  a

@@ -22,8 +22,14 @@ val sort : t array -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-(** Hashtables keyed by OID. *)
+(** Hashtables keyed by OID.  Consecutive OIDs hash to consecutive
+    buckets, and OIDs allocated at a shard's stride still spread over all
+    of them.  Iteration order follows the buckets and is unspecified: a walk
+    whose order can be seen goes through {!sorted_keys}. *)
 module Table : Hashtbl.S with type key = t
+
+val sorted_keys : 'a Table.t -> t array
+(** The table's keys in ascending order. *)
 
 (** Sets of OIDs. *)
 module Set : Set.S with type elt = t

@@ -294,9 +294,9 @@ let write db emit =
   pr "clock %d\n" db.now;
   pr "nextoid %d\n" db.next_oid;
   if db.wal_applied_seq > 0 then pr "walseq %d\n" db.wal_applied_seq;
-  Oid.Table.fold (fun _ o acc -> o :: acc) db.objects []
-  |> List.sort (fun a b -> Oid.compare a.id b.id)
-  |> List.iter (emit_obj emit);
+  Array.iter
+    (fun oid -> emit_obj emit (Oid.Table.find db.objects oid))
+    (Oid.sorted_keys db.objects);
   emit_classcons emit db;
   emit_indexes emit db;
   pr "EOF\n"
@@ -383,7 +383,11 @@ let read db read_line =
     let info = Heap.class_info db cls in
     (* `Empty seed: an attribute the snapshot does not carry (it predates an
        add_attribute) loads as absent, not as the current default *)
-    let o = Heap.make_obj db ~id:oid ~cls ~info ~seed:`Empty ~consumers:[] in
+    let o =
+      Heap.make_obj ~id:oid ~cls ~info
+        ~store:(Heap.fresh_store db info `Empty)
+        ~consumers:[]
+    in
     let rec body () =
       match next_line () with
       | None -> fail "unterminated object"
@@ -498,17 +502,18 @@ let write_delta db emit =
   pr "walseq %d\n" db.wal_applied_seq;
   pr "clock %d\n" db.now;
   pr "nextoid %d\n" db.next_oid;
-  Oid.Table.fold
-    (fun oid () acc ->
+  (* a store with no base yet keeps no dirty set: every live object is in
+     the delta, as if each had been marked *)
+  let dirty =
+    if Heap.no_base db then Oid.sorted_keys db.objects else Oid.sorted_keys db.dirty
+  in
+  Array.iter
+    (fun oid ->
       match Oid.Table.find_opt db.objects oid with
-      | Some o when o.alive -> o :: acc
-      | _ -> acc)
-    db.dirty []
-  |> List.sort (fun a b -> Oid.compare a.id b.id)
-  |> List.iter (emit_obj emit);
-  Oid.Table.fold (fun oid () acc -> oid :: acc) db.dirty_dead []
-  |> List.sort Oid.compare
-  |> List.iter (fun oid -> pr "del %d\n" (Oid.to_int oid));
+      | Some o when o.alive -> emit_obj emit o
+      | _ -> ())
+    dirty;
+  Array.iter (fun oid -> pr "del %d\n" (Oid.to_int oid)) (Oid.sorted_keys db.dirty_dead);
   emit_classcons emit db;
   emit_indexes emit db;
   pr "EOF\n"
@@ -569,7 +574,11 @@ let apply_delta ?(storage = Storage.unix) db path =
         let apply_obj oid cls =
           if not (Db.has_class db cls) then raise (Errors.No_such_class cls);
           let info = Heap.class_info db cls in
-          let o = Heap.make_obj db ~id:oid ~cls ~info ~seed:`Empty ~consumers:[] in
+          let o =
+            Heap.make_obj ~id:oid ~cls ~info
+              ~store:(Heap.fresh_store db info `Empty)
+              ~consumers:[]
+          in
           let rec body () =
             match next_line () with
             | None -> fail "unterminated object"

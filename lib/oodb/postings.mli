@@ -17,6 +17,7 @@ val remove : t -> Oid.t -> t option
     when none is.  A [Many] is updated in place. *)
 
 val iter : (Oid.t -> unit) -> t -> unit
+(** In no particular order; {!to_list} for ascending. *)
 
 val to_list : t -> Oid.t list
 (** Ascending OID order. *)

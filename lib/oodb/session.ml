@@ -191,7 +191,11 @@ let delete_object s oid =
   let consumers = (Heap.find_obj db oid).consumers in
   let resurrect () =
     let info = Heap.class_info db cls in
-    let o = Heap.make_obj db ~id:oid ~cls ~info ~seed:`Empty ~consumers in
+    let o =
+      Heap.make_obj ~id:oid ~cls ~info
+        ~store:(Heap.fresh_store db info `Empty)
+        ~consumers
+    in
     List.iter (fun (attr, v) -> Heap.store_put_raw o attr v) saved;
     Heap.insert_obj db o
   in

@@ -142,7 +142,7 @@ and obj = {
   mutable consumers : Oid.t list;
   mutable alive : bool;
   (* Dirty-tracking epoch stamp for incremental checkpoints: when it equals
-     [db.ckpt_gen] the object is already in [db.dirty], so the mutation hot
+     [db.ckpt_gen] the object is already dirty, so the mutation hot
      path pays one load+compare instead of a hashtable write per set.  0 on
      freshly built objects (no epoch ever matches). *)
   mutable dirty_gen : int;
@@ -237,7 +237,9 @@ and db = {
   mutable snapshot_seq : int;
   (* Objects created or mutated since the last snapshot artifact, keyed by
      OID — the working set an incremental checkpoint persists.  Cleared by
-     Persist.save / save_delta / load (each establishes a new baseline). *)
+     Persist.save / save_delta / load (each establishes a new baseline).
+     Empty while the store has no baseline ([ckpt_gen] = 1): every live
+     object is dirty then, and Persist.write_delta walks [objects]. *)
   dirty : unit Oid.Table.t;
   (* Objects deleted since the last snapshot artifact: a delta records them
      as explicit `del` entries so recovery removes them from the base. *)

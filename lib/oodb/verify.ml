@@ -1,5 +1,10 @@
 open Types
 
+(* Every walk of an OID table goes in ascending OID, so the problems come
+   out in an order that does not depend on the table's hash. *)
+let iter_sorted f tbl =
+  Array.iter (fun oid -> f oid (Oid.Table.find tbl oid)) (Oid.sorted_keys tbl)
+
 let check ?(quiescent = false) (db : Db.t) =
   let problems = ref [] in
   let complain fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
@@ -8,7 +13,7 @@ let check ?(quiescent = false) (db : Db.t) =
     complain "transaction still in progress";
 
   (* objects vs classes and extents *)
-  Oid.Table.iter
+  iter_sorted
     (fun oid (o : obj) ->
       if not o.alive then complain "%s: dead object in table" (Oid.to_string oid)
       else if not (Db.has_class db o.cls) then
@@ -61,7 +66,7 @@ let check ?(quiescent = false) (db : Db.t) =
   (* extents point at live objects of the right class *)
   Hashtbl.iter
     (fun cls extent ->
-      Oid.Table.iter
+      iter_sorted
         (fun oid () ->
           match Oid.Table.find_opt db.objects oid with
           | None ->
@@ -75,7 +80,7 @@ let check ?(quiescent = false) (db : Db.t) =
 
   (* the subscription reverse index is exactly the consumer lists, reversed *)
   let listed = Hashtbl.create 64 in
-  Oid.Table.iter
+  iter_sorted
     (fun oid (o : obj) ->
       List.iter (fun c -> Hashtbl.replace listed (c, `Obj oid) ()) o.consumers)
     db.objects;
@@ -83,9 +88,9 @@ let check ?(quiescent = false) (db : Db.t) =
     (fun cls cs -> List.iter (fun c -> Hashtbl.replace listed (c, `Cls cls) ()) cs)
     db.class_consumers;
   let indexed = Hashtbl.create 64 in
-  Oid.Table.iter
+  iter_sorted
     (fun c sb ->
-      Oid.Table.iter (fun oid () -> Hashtbl.replace indexed (c, `Obj oid) ()) sb.sb_objects;
+      iter_sorted (fun oid () -> Hashtbl.replace indexed (c, `Obj oid) ()) sb.sb_objects;
       List.iter (fun cls -> Hashtbl.replace indexed (c, `Cls cls) ()) sb.sb_classes)
     db.subscriptions;
   let describe (c, target) =

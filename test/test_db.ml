@@ -171,6 +171,114 @@ let test_oid_sort () =
         (Array.to_list a))
     [ (0, 1); (1, 10); (255, 1_000); (256, 1_000); (3_000, 100_000); (3_000, 1 lsl 40) ]
 
+(* 100k OIDs at each shard stride, and hand-built negative ones, spread
+   over the buckets: no bucket holds more than a handful.  (Hashing the
+   ints at random would give about 9 here.) *)
+let test_oid_table_spread () =
+  let spread name oids =
+    let t = Oid.Table.create 16 in
+    Seq.iter (fun o -> Oid.Table.replace t o ()) oids;
+    let s = Oid.Table.stats t in
+    Alcotest.(check int) (name ^ ": all kept") 100_000 s.Hashtbl.num_bindings;
+    if s.Hashtbl.max_bucket_length > 6 then
+      Alcotest.failf "%s: a bucket holds %d OIDs (%d buckets)" name
+        s.Hashtbl.max_bucket_length s.Hashtbl.num_buckets
+  in
+  List.iter
+    (fun stride ->
+      for residue = 0 to min stride 3 - 1 do
+        spread
+          (Printf.sprintf "stride %d, residue %d" stride residue)
+          (Seq.init 100_000 (fun i -> Oid.of_int (1 + residue + (i * stride))))
+      done)
+    [ 1; 2; 3; 4; 8 ];
+  spread "negative" (Seq.init 100_000 (fun i -> Oid.of_int (-1 - i)));
+  spread "negative, stride 8" (Seq.init 100_000 (fun i -> Oid.of_int (-8 * i)))
+
+(* --- the dirty set and deltas ---------------------------------------------- *)
+
+module Persist = Oodb.Persist
+module Mem = Oodb.Storage.Mem
+
+(* The bytes [Persist.save_delta] writes for [db]; the store's baseline
+   moves to the delta, as it does in recovery. *)
+let delta_bytes db =
+  let fs = Mem.create () in
+  ignore (Persist.save_delta ~storage:(Mem.storage fs) db "d");
+  Mem.contents fs "d"
+
+(* A store that was never saved, loaded or given a delta: creates (one of
+   them a manager carrying a class subscription), sets, an index, a
+   committed delete and an aborted one. *)
+let nobase_store () =
+  let db = employee_db () in
+  Db.create_index db ~cls:"employee" ~attr:"salary" ();
+  let es =
+    Array.init 12 (fun i ->
+        new_employee db
+          ~cls:(if i mod 5 = 4 then "manager" else "employee")
+          ~name:(Printf.sprintf "e%d" i)
+          ~salary:(1000. +. float_of_int (i * 37 mod 11)))
+  in
+  Array.iteri
+    (fun i e -> if i mod 3 = 0 then Db.set db e "age" (Value.Int (40 + i)))
+    es;
+  Db.set db es.(1) "mgr" (Value.Obj es.(4));
+  Db.subscribe db ~reactive:es.(2) ~consumer:es.(4);
+  Db.subscribe_class db ~cls:"manager" ~consumer:es.(9);
+  Db.delete_object db es.(7);
+  Transaction.begin_ db;
+  Db.delete_object db es.(3);
+  Db.set db es.(5) "salary" (Value.Float 1.5);
+  Transaction.abort db;
+  ignore (Db.tick db);
+  db
+
+(* The OIDs of a delta's object records and of its [del] lines. *)
+let delta_oids text =
+  List.fold_left
+    (fun (objs, dels) line ->
+      match String.split_on_char ' ' line with
+      | [ "obj"; oid; _ ] -> (int_of_string oid :: objs, dels)
+      | [ "del"; oid ] -> (objs, int_of_string oid :: dels)
+      | _ -> (objs, dels))
+    ([], []) (String.split_on_char '\n' text)
+  |> fun (objs, dels) -> (List.rev objs, List.rev dels)
+
+(* Once a snapshot is the base, the dirty set is live: touching 10% of the
+   objects (sets, a create and deletes, some inside an aborted transaction
+   that must leave no trace) gives a delta with exactly those objects and
+   the deleted OIDs. *)
+let test_delta_after_save () =
+  let db = employee_db () in
+  let es = Array.init 1_000 (fun i -> new_employee db ~name:(string_of_int i)) in
+  let fs = Mem.create () in
+  Persist.save ~storage:(Mem.storage fs) db "snap";
+  let touched = List.init 90 (fun i -> es.(11 * i)) in
+  List.iter (fun e -> Db.set db e "age" (Value.Int 50)) touched;
+  let fresh = new_employee db ~name:"fresh" in
+  let deleted = [ es.(3); es.(500); es.(11) ] in
+  List.iter (Db.delete_object db) deleted;
+  Transaction.begin_ db;
+  Db.set db es.(7) "age" (Value.Int 1);
+  Db.delete_object db es.(8);
+  Transaction.abort db;
+  let objs, dels = delta_oids (delta_bytes db) in
+  let ints l = List.sort compare (List.map Oid.to_int l) in
+  let live = List.filter (fun e -> not (List.mem e deleted)) (fresh :: touched) in
+  (* an aborted write still marks its object: its restored record is
+     written again, harmless under the delta's replace semantics *)
+  Alcotest.(check (list int)) "objects" (ints (es.(7) :: es.(8) :: live)) objs;
+  Alcotest.(check (list int)) "deletes" (ints deleted) dels;
+  Alcotest.(check (pair (list int) (list int))) "the next delta is empty" ([], [])
+    (delta_oids (delta_bytes db))
+
+(* test/fixtures/nobase.delta holds the bytes this store's delta had when
+   every object was tracked in the dirty set from its creation on. *)
+let test_nobase_delta_fixture () =
+  let expected = In_channel.with_open_bin (fixture "nobase.delta") In_channel.input_all in
+  Alcotest.(check string) "delta bytes" expected (delta_bytes (nobase_store ()))
+
 let suite =
   [
     test "object lifecycle" test_object_lifecycle;
@@ -186,4 +294,7 @@ let suite =
     test "logical clock" test_clock;
     test "missing objects" test_no_such_object;
     test "Oid.sort = comparison sort" test_oid_sort;
+    test "OID tables spread shard strides" test_oid_table_spread;
+    test "no-base delta matches its fixture" test_nobase_delta_fixture;
+    test "delta after a save holds what was touched" test_delta_after_save;
   ]

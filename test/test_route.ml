@@ -292,6 +292,100 @@ let test_delete_during_delivery () =
   Alcotest.(check (list oid)) "victim unsubscribed" [ killer ]
     (Db.consumers_of db e)
 
+(* --- walks in ascending OID ------------------------------------------------ *)
+
+(* A permutation of [0 .. n-1], fixed by the seed. *)
+let shuffled n =
+  let a = Array.init n Fun.id in
+  let rng = Random.State.make [| 25 |] in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  done;
+  a
+
+let check_ascending msg oids =
+  Alcotest.(check (list oid)) msg (List.sort Oid.compare oids) oids
+
+(* Wildcard handlers on one object hear an occurrence in ascending OID,
+   whatever order they subscribed in; one unregistered during the walk is
+   not called. *)
+let test_wildcard_order () =
+  let db = employee_db () in
+  let sys = System.create db in
+  let calls = ref [] in
+  let ns =
+    Array.init 40 (fun _ ->
+        let self = ref (Oid.of_int 0) in
+        let n = System.create_notifiable sys (fun _ -> calls := !self :: !calls) in
+        self := n;
+        n)
+  in
+  let e = new_employee db in
+  Array.iter (fun i -> Db.subscribe db ~reactive:e ~consumer:ns.(i)) (shuffled 40);
+  ignore (Db.send db e "set_salary" [ Value.Float 1. ]);
+  Alcotest.(check int) "every handler called" 40 (List.length !calls);
+  check_ascending "ascending OID" (List.rev !calls);
+  (* the first handler drops the last one before the walk reaches it *)
+  calls := [];
+  let last = ns.(39) in
+  System.attach_handler sys ns.(0) (fun _ ->
+      calls := ns.(0) :: !calls;
+      Route.unregister (route sys) last);
+  ignore (Db.send db e "set_salary" [ Value.Float 2. ]);
+  Alcotest.(check int) "unregistered mid-walk: not called" 39 (List.length !calls);
+  check_ascending "still ascending" (List.rev !calls)
+
+(* [n] immediate rules on [e], each created with event [event i] and an
+   action that records its OID; returned in creation order. *)
+let recording_rules sys e ~n event =
+  let fired = ref [] in
+  let rules = Array.make n (Oid.of_int 0) in
+  for i = 0 to n - 1 do
+    let action = Printf.sprintf "record-%d" i in
+    System.register_action sys action (fun _ _ -> fired := rules.(i) :: !fired);
+    rules.(i) <-
+      System.create_rule sys ~monitor:[ e ] ~event:(event i) ~condition:"true" ~action ()
+  done;
+  (rules, fired)
+
+(* Temporal detectors subscribed to an object are driven by its
+   occurrences in ascending OID: plus-events that come due together fire in
+   that order. *)
+let test_temporal_delivery_order () =
+  let db = employee_db () in
+  let sys = System.create db in
+  let e = new_employee db in
+  let _, fired =
+    recording_rules sys e ~n:40 (fun _ -> Expr.plus (Expr.eom ~cls:"employee" "set_salary") 5)
+  in
+  ignore (Db.send db e "set_salary" [ Value.Float 1. ]);
+  Db.advance_clock db (Db.now db + 10);
+  Alcotest.(check int) "nothing due yet" 0 (List.length !fired);
+  ignore (Db.send db e "get_age" []);
+  Alcotest.(check int) "all due at once" 40 (List.length !fired);
+  check_ascending "ascending OID" (List.rev !fired)
+
+(* One advance_time releases periodic firings rule by rule in ascending
+   OID. *)
+let test_advance_time_order () =
+  let db = employee_db () in
+  let sys = System.create db in
+  let e = new_employee db in
+  let _, fired =
+    recording_rules sys e ~n:40 (fun _ ->
+        Expr.periodic ~limit:1
+          (Expr.eom ~cls:"employee" "set_salary")
+          5
+          (Expr.eom ~cls:"employee" "change_income"))
+  in
+  ignore (Db.send db e "set_salary" [ Value.Float 1. ]);
+  System.advance_time sys (Db.now db + 6);
+  Alcotest.(check int) "one firing each" 40 (List.length !fired);
+  check_ascending "ascending OID" (List.rev !fired)
+
 let suite =
   [
     test "register on create; enable/disable/delete" test_lifecycle;
@@ -304,4 +398,7 @@ let suite =
     test "wildcard handler delivery" test_wildcard_handler;
     test "unregister tombstones: exact counts under churn" test_tombstone_churn;
     test "rule deleted mid-delivery is not offered" test_delete_during_delivery;
+    test "wildcard handlers in ascending OID" test_wildcard_order;
+    test "temporal delivery in ascending OID" test_temporal_delivery_order;
+    test "advance_time fires in ascending OID" test_advance_time_order;
   ]

@@ -92,6 +92,28 @@ let test_detects_corruption () =
       (List.exists (contains_substring ~sub:"slot") ps)
   | Ok () -> Alcotest.fail "truncated slot array not detected"
 
+(* Problems come out in ascending OID, whatever the object table's hash
+   order: corrupt objects in a scrambled order and read the report. *)
+let test_problems_in_oid_order () =
+  let db = employee_db () in
+  let es = Array.init 64 (fun _ -> new_employee db) in
+  let picked = List.init 24 (fun i -> es.((i * 37) mod 64)) in
+  List.iter
+    (fun e ->
+      let o = Oid.Table.find db.Oodb.Types.objects e in
+      match o.Oodb.Types.store with
+      | Oodb.Types.S_slots slots ->
+        o.Oodb.Types.store <- Oodb.Types.S_slots (Array.sub slots 0 1)
+      | Oodb.Types.S_table _ -> assert false)
+    picked;
+  match Verify.check db with
+  | Ok () -> Alcotest.fail "truncated slot arrays not detected"
+  | Error ps ->
+    let reported =
+      List.map (fun p -> Oid.of_int (Scanf.sscanf p "@%d:" Fun.id)) ps
+    in
+    Alcotest.(check (list oid)) "ascending OID" (List.sort Oid.compare picked) reported
+
 (* Property: random committed/aborted workloads never break integrity. *)
 let prop_workloads_stay_sound =
   QCheck_alcotest.to_alcotest
@@ -139,5 +161,6 @@ let suite =
     test "sound after abort and reload" test_sound_after_abort_and_reload;
     test "quiescent flag" test_quiescent_flag;
     test "detects corruption" test_detects_corruption;
+    test "problems in ascending OID" test_problems_in_oid_order;
     prop_workloads_stay_sound;
   ]
