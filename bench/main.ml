@@ -774,66 +774,6 @@ let e14 () =
     Sentinel.Coupling.all
 
 (* ------------------------------------------------------------------------- *)
-(* E15: session isolation overhead (substrate ablation)                       *)
-(* ------------------------------------------------------------------------- *)
-
-let e15 () =
-  header "E15: strict-2PL session overhead, 20k single-write transactions";
-  let n = 20_000 in
-  let fresh () =
-    let db = Db.create () in
-    Workloads.Payroll.install db;
-    let objs =
-      Array.init 100 (fun i ->
-          Db.new_object db "employee"
-            ~attrs:[ ("name", Value.Str (string_of_int i)) ])
-    in
-    (db, objs)
-  in
-  (let db, objs = fresh () in
-   let rng = Prng.create 11 in
-   let (), ms =
-     time_ms (fun () ->
-         for _ = 1 to n do
-           Db.set db (Prng.choice rng objs) "salary" (Value.Float 1.)
-         done)
-   in
-   row "  raw Db.set (no isolation)        %10s\n" (fmt_ms ms));
-  (let db, objs = fresh () in
-   let rng = Prng.create 11 in
-   let (), ms =
-     time_ms (fun () ->
-         for _ = 1 to n do
-           match
-             Transaction.atomically db (fun () ->
-                 Db.set db (Prng.choice rng objs) "salary" (Value.Float 1.))
-           with
-           | Ok () -> ()
-           | Error e -> raise e
-         done)
-   in
-   row "  global transaction per write     %10s\n" (fmt_ms ms));
-  let db, objs = fresh () in
-  let m = Oodb.Session.manager db in
-  let alice = Oodb.Session.session m and bob = Oodb.Session.session m in
-  let rng = Prng.create 11 in
-  let conflicts_before = Oodb.Session.conflicts m in
-  let (), ms =
-    time_ms (fun () ->
-        for i = 1 to n do
-          let s = if i mod 2 = 0 then alice else bob in
-          Oodb.Session.begin_ s;
-          (match
-             Oodb.Session.set s (Prng.choice rng objs) "salary" (Value.Float 1.)
-           with
-          | () -> Oodb.Session.commit s
-          | exception Oodb.Errors.Lock_conflict _ -> Oodb.Session.abort s)
-        done)
-  in
-  row "  2PL session per write (2 clients)%10s  (%d conflicts)\n" (fmt_ms ms)
-    (Oodb.Session.conflicts m - conflicts_before)
-
-(* ------------------------------------------------------------------------- *)
 (* E-routing: discrimination-indexed delivery vs per-rule broadcast           *)
 (* ------------------------------------------------------------------------- *)
 
@@ -1278,19 +1218,17 @@ let e_containment () =
   row "  wrote BENCH_containment.json\n"
 
 (* ------------------------------------------------------------------------- *)
-(* E-oltp: compiled slot layout vs per-object hashtable on get/set/send       *)
+(* E-oltp: compiled slot layout on get/set/send, and the shards axis         *)
 (* ------------------------------------------------------------------------- *)
 
 (* Wide passive classes (10/100/1000 attributes), 1k instances, hot
    attribute in the middle of the layout.  Accessors go through the
    pre-resolved slot API — the path rule conditions, the DSL and the rule
-   scheduler actually use — which degrades to the per-object hashtable in
-   `Hashtbl mode, so the two rows compare the representations under the
-   same call shape.  String-keyed access is reported alongside.  Under
-   BENCH_SMOKE the run doubles as a CI regression gate: slot-mode get/set
-   throughput below hashtbl-mode at 100 attributes fails the process. *)
+   scheduler actually use.  String-keyed access is reported alongside.
+   Under BENCH_SMOKE the run doubles as a CI regression gate on the shards
+   axis (below). *)
 let e_oltp () =
-  header "E-oltp: slot layout vs hashtbl objects (get/set/send micro-bench)";
+  header "E-oltp: slot layout objects (get/set/send micro-bench)";
   let smoke = Sys.getenv_opt "BENCH_SMOKE" <> None in
   let rw_iters = if smoke then 100_000 else 1_000_000 in
   let send_iters = if smoke then 20_000 else 200_000 in
@@ -1302,9 +1240,8 @@ let e_oltp () =
     let (), ms = time_ms (fun () -> for _ = 1 to iters do f () done) in
     ((float_of_int iters /. ms) *. 1000., (Gc.allocated_bytes () -. bytes0) /. float_of_int iters)
   in
-  let layout_name = function `Slots -> "slots" | `Hashtbl -> "hashtbl" in
-  let run layout size =
-    let db = Db.create ~layout () in
+  let run size =
+    let db = Db.create () in
     let hot = Printf.sprintf "a%d" (size / 2) in
     Db.define_class db
       (Schema.define "wide"
@@ -1341,21 +1278,13 @@ let e_oltp () =
     let send_ops, send_bytes =
       measure send_iters (fun () -> ignore (Db.send db (next ()) "poke" args))
     in
-    row "  %7s %5d  get %11.0f/s (%3.0fB)  set %11.0f/s (%3.0fB)  send %10.0f/s (%3.0fB)\n"
-      (layout_name layout) size get_ops get_bytes set_ops set_bytes send_ops
-      send_bytes;
-    ( layout_name layout, size, get_ops, get_bytes, set_ops, set_bytes,
-      send_ops, send_bytes, get_str_ops, set_str_ops, create_ops, create_bytes )
+    row "  %5d  get %11.0f/s (%3.0fB)  set %11.0f/s (%3.0fB)  send %10.0f/s (%3.0fB)\n"
+      size get_ops get_bytes set_ops set_bytes send_ops send_bytes;
+    ( size, get_ops, get_bytes, set_ops, set_bytes, send_ops, send_bytes,
+      get_str_ops, set_str_ops, create_ops, create_bytes )
   in
-  row "  %7s %5s\n" "layout" "attrs";
-  let rows =
-    List.concat_map
-      (fun size ->
-        let h = run `Hashtbl size in
-        let s = run `Slots size in
-        [ h; s ])
-      sizes
-  in
+  row "  %5s\n" "attrs";
+  let rows = List.map run sizes in
   (* Query.matches contract: one object fetch per candidate, checked here so
      the bench fails loudly if select regresses to per-attribute fetches. *)
   let query_probes_ok =
@@ -1525,40 +1454,24 @@ let e_oltp () =
     supervised2
     (supervised2 /. List.assoc 2 shard_rows);
   List.iteri
-    (fun i (lname, size, g, gb, s, sb, snd_, sndb, gs, ss, c, cb) ->
+    (fun i (size, g, gb, s, sb, snd_, sndb, gs, ss, c, cb) ->
       Printf.fprintf oc
-        "    {\"layout\": \"%s\", \"attrs\": %d, \"get_ops_per_sec\": %.0f, \
+        "    {\"layout\": \"slots\", \"attrs\": %d, \"get_ops_per_sec\": %.0f, \
          \"get_bytes_per_op\": %.1f, \"set_ops_per_sec\": %.0f, \
          \"set_bytes_per_op\": %.1f, \"send_ops_per_sec\": %.0f, \
          \"send_bytes_per_op\": %.1f, \"get_string_ops_per_sec\": %.0f, \
          \"set_string_ops_per_sec\": %.0f, \"create_ops_per_sec\": %.0f, \
          \"create_bytes_per_obj\": %.0f}%s\n"
-        lname size g gb s sb snd_ sndb gs ss c cb
+        size g gb s sb snd_ sndb gs ss c cb
         (if i = List.length rows - 1 then "" else ","))
     rows;
   Printf.fprintf oc "  ]\n}\n";
   close_out oc;
   row "  wrote BENCH_oltp.json\n";
-  (* CI regression gate (smoke runs only): the compiled layout must not be
-     slower than the representation it replaced. *)
+  (* CI regression gates (smoke runs only) on the shards axis: the 1-shard
+     pool must not tax the single-threaded path, and adding a shard must
+     actually scale where cores exist. *)
   if smoke then begin
-    let find lname size =
-      List.find_map
-        (fun (l, n, g, _, s, _, _, _, _, _, _, _) ->
-          if l = lname && n = size then Some (g, s) else None)
-        rows
-      |> Option.get
-    in
-    let sg, ss = find "slots" 100 and hg, hs = find "hashtbl" 100 in
-    if sg < hg || ss < hs then begin
-      row "  FAIL: slot-mode throughput below hashtbl-mode at 100 attrs \
-           (get %.0f vs %.0f, set %.0f vs %.0f)\n"
-        sg hg ss hs;
-      exit 1
-    end
-    else row "  bench-smoke gate: slots >= hashtbl at 100 attrs (ok)\n";
-    (* shards axis gates: the 1-shard pool must not tax the single-threaded
-       path, and adding a shard must actually scale where cores exist. *)
     if shards1 < 0.95 *. direct_eps then begin
       row "  FAIL: shards=1 pool send %.0f ev/s below 95%% of the direct \
            path %.0f ev/s\n"
@@ -2503,7 +2416,7 @@ let experiments =
   [
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5);
     ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10);
-    ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15);
+    ("e12", e12); ("e13", e13); ("e14", e14);
     ("routing", e_routing);
     ("oltp", e_oltp);
     ("recovery", e_recovery);

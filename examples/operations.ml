@@ -4,7 +4,7 @@
      generator, add an attribute with backfill;
    - static rule analysis: triggering graph, termination verdict;
    - execution audit: committed firings as queryable objects;
-   - multi-session isolation: two clients, a lock conflict, abort+retry;
+   - atomic units of work: a failed one rolls back, rule effects included;
    - integrity verification and reachability GC;
    - WAL checkpointing.
 
@@ -15,7 +15,6 @@ module Value = Oodb.Value
 module Schema = Oodb.Schema
 module System = Sentinel.System
 module Expr = Events.Expr
-module Session = Oodb.Session
 
 let () =
   let db = Db.create () in
@@ -88,23 +87,24 @@ let () =
   Printf.printf "boiler alarm_count = %s\n"
     (Value.to_string (Db.get db boiler "alarm_count"));
 
-  print_endline "\n== sessions (strict 2PL, no-wait) ==";
-  let m = Session.manager db in
-  let alice = Session.session ~name:"alice" m in
-  let bob = Session.session ~name:"bob" m in
-  Session.begin_ alice;
-  Session.begin_ bob;
-  Session.set alice boiler "temp" (Value.Float 42.);
-  (match Session.get bob boiler "temp" with
-  | _ -> print_endline "bob read under alice's lock (unexpected!)"
-  | exception Oodb.Errors.Lock_conflict (_, holder) ->
-    Printf.printf "bob's read conflicts (%s); bob aborts and retries\n" holder;
-    Session.abort bob);
-  Session.commit alice;
-  Session.begin_ bob;
-  Printf.printf "after alice commits, bob reads temp = %s\n"
-    (Value.to_string (Session.get bob boiler "temp"));
-  Session.commit bob;
+  print_endline "\n== atomic units of work ==";
+  let show label =
+    Printf.printf "%s: temp = %s, alarm_count = %s\n" label
+      (Value.to_string (Db.get db boiler "temp"))
+      (Value.to_string (Db.get db boiler "alarm_count"))
+  in
+  show "before";
+  (* the overheat rule fires inside the unit; the failure that follows
+     rolls back its alarm along with the reading *)
+  (match
+     Oodb.Transaction.atomically db (fun () ->
+         ignore (Db.send db boiler "report_temp" [ Value.Float 120. ]);
+         show "inside";
+         failwith "sensor calibration failed")
+   with
+  | Ok () -> print_endline "committed (unexpected!)"
+  | Error e -> Printf.printf "aborted: %s\n" (Printexc.to_string e));
+  show "after";
 
   print_endline "\n== integrity and garbage ==";
   (match Oodb.Verify.check ~quiescent:true db with

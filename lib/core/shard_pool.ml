@@ -286,14 +286,15 @@ type job = {
   abort : (error -> unit) option; (* invoked when the job is discarded *)
 }
 
-(* [Jobs] is a cross-shard flush: a vector of jobs (in submission order)
-   published as one MPSC message — one CAS, one wakeup — instead of one per
-   job.  Capacity, depth and every job-granular counter still account the
-   vector's length (the inbox weighs messages in jobs). *)
-type msg = Stop | Job of job | Jobs of job list
+(* [Jobs] is a vector of jobs (in submission order) published as one MPSC
+   message — one CAS, one wakeup.  A single submission is a vector of one;
+   a cross-shard flush carries many.  Capacity, depth and every
+   job-granular counter account the vector's length (the inbox weighs
+   messages in jobs). *)
+type msg = Stop | Jobs of job list
 
 let weigh_msg = function
-  | Stop | Job _ -> 1
+  | Stop -> 1
   | Jobs js -> List.length js
 
 (* encoded shard_state for lock-free cross-domain reads *)
@@ -423,7 +424,7 @@ let abort_job j err =
 
 (* An accepted message that will never run: dead-letter it (so an operator
    can replay after the cause clears) and surface the typed error to any
-   synchronous waiter.  A job vector is unbundled — each job is discarded,
+   synchronous waiter.  The vector is unbundled — each job is discarded,
    dead-lettered and aborted individually, so accounting and replay stay
    job-granular. *)
 let reject_job (t : t) idx err j =
@@ -433,7 +434,6 @@ let reject_job (t : t) idx err j =
 
 let reject (t : t) idx err = function
   | Stop -> ()
-  | Job j -> reject_job t idx err j
   | Jobs js -> List.iter (reject_job t idx err) js
 
 (* Stop is final — no replay possible — so shutdown leftovers are discarded
@@ -444,7 +444,6 @@ let discard_job_at_stop (t : t) j =
 
 let discard_at_stop (t : t) = function
   | Stop -> ()
-  | Job j -> discard_job_at_stop t j
   | Jobs js -> List.iter (discard_job_at_stop t) js
 
 (* --- durability-deferred completions ----------------------------------------
@@ -495,63 +494,12 @@ let run_job t sh sys ~trace run =
 
 (* --- submission and backpressure ------------------------------------------ *)
 
-let accept t sh j =
-  if Mpsc.try_push sh.inbox ~capacity:t.capacity (Job j) then begin
-    ignore (Atomic.fetch_and_add t.enqueued 1);
-    Ok ()
-  end
-  else
-    match t.policy with
-    | Shed_newest ->
-      ignore (Atomic.fetch_and_add t.shed 1);
-      Obs.Metrics.hit st_shed;
-      Error (Overloaded sh.idx)
-    | Dead_letter ->
-      (* parked, not lost: [replay_dead_letters] resubmits it *)
-      ignore (Atomic.fetch_and_add t.shed 1);
-      record_dead_letter t sh.idx j;
-      Error (Dead_lettered sh.idx)
-    | Block { max_wait_ms } ->
-      let deadline =
-        Obs.Clock.now_ns () +. (float_of_int max_wait_ms *. 1e6)
-      in
-      let rec wait attempt =
-        (* a shard blocked on a full sibling is exerting backpressure, not
-           wedged: refresh its own heartbeat so the supervisor stays calm *)
-        (match Domain.DLS.get current_ctx with
-        | Some c when c.c_pool == t ->
-          Atomic.set t.shards.(c.c_idx).busy_since (Obs.Clock.now_ns ())
-        | _ -> ());
-        if Atomic.get t.stopped then Error Stopped
-        else if get_state sh = `Degraded then Error (Degraded sh.idx)
-        else if Mpsc.try_push sh.inbox ~capacity:t.capacity (Job j) then begin
-          ignore (Atomic.fetch_and_add t.enqueued 1);
-          Ok ()
-        end
-        else if Obs.Clock.now_ns () >= deadline then begin
-          ignore (Atomic.fetch_and_add t.shed 1);
-          Obs.Metrics.hit st_shed;
-          Error (Overloaded sh.idx)
-        end
-        else begin
-          (try
-             Unix.sleepf
-               (Error_policy.retry_delay ~base:0.0001 ~cap:0.002
-                  ~rand:(fun () -> Random.float 1.)
-                  attempt)
-           with Unix.Unix_error _ -> ());
-          wait (attempt + 1)
-        end
-      in
-      wait 1
-
-(* [accept] for a flushed job vector: the whole flush is admitted or
+(* Admit a job vector to [sh]'s inbox: the whole vector is admitted or
    rejected atomically as one message (one CAS, one wakeup), and the
    backpressure policies account all [k] jobs — capacity is charged in
-   jobs (the inbox weighs a vector as its length), a shed flush bumps the
-   shed counter by [k], and a dead-lettered flush parks each job
-   individually so replay stays job-granular. *)
-let accept_many t sh js =
+   jobs, a shed vector bumps the shed counter by [k], and a dead-lettered
+   one parks each job individually so replay stays job-granular. *)
+let accept t sh js =
   let k = List.length js in
   let msg = Jobs js in
   if Mpsc.try_push sh.inbox ~capacity:t.capacity msg then begin
@@ -565,6 +513,7 @@ let accept_many t sh js =
       Obs.Metrics.add st_shed k;
       Error (Overloaded sh.idx)
     | Dead_letter ->
+      (* parked, not lost: [replay_dead_letters] resubmits them *)
       ignore (Atomic.fetch_and_add t.shed k);
       List.iter (record_dead_letter t sh.idx) js;
       Error (Dead_lettered sh.idx)
@@ -573,6 +522,8 @@ let accept_many t sh js =
         Obs.Clock.now_ns () +. (float_of_int max_wait_ms *. 1e6)
       in
       let rec wait attempt =
+        (* a shard blocked on a full sibling is exerting backpressure, not
+           wedged: refresh its own heartbeat so the supervisor stays calm *)
         (match Domain.DLS.get current_ctx with
         | Some c when c.c_pool == t ->
           Atomic.set t.shards.(c.c_idx).busy_since (Obs.Clock.now_ns ())
@@ -626,11 +577,11 @@ let submit t idx ~run ~abort =
       if get_state sh = `Degraded then Error (Degraded idx)
       else begin
         ignore (Atomic.fetch_and_add t.forwarded 1);
-        accept t sh { run; trace = Obs.Trace.current (); abort }
+        accept t sh [ { run; trace = Obs.Trace.current (); abort } ]
       end
     | _ ->
       if get_state sh = `Degraded then Error (Degraded idx)
-      else accept t sh { run; trace = Obs.Trace.current (); abort }
+      else accept t sh [ { run; trace = Obs.Trace.current (); abort } ]
   end
 
 let post_on t idx run = submit t idx ~run ~abort:None
@@ -694,10 +645,6 @@ let post t oid meth args =
   post_on t (shard_of t oid) (fun sys ->
       ignore (Db.send (System.db sys) oid meth args))
 
-let call ?timeout_ms t oid meth args =
-  run_on ?timeout_ms t (shard_of t oid) (fun sys ->
-      Db.send (System.db sys) oid meth args)
-
 let each ?timeout_ms t f =
   let results = scatter ?timeout_ms t ~post:(submit t) f in
   match Array.find_opt Result.is_error results with
@@ -746,9 +693,7 @@ let flush_shard b idx =
       List.iter (fun j -> abort_job j (Degraded idx)) js;
       Error (Degraded idx)
     end
-    else begin
-      match js with [ j ] -> accept t sh j | js -> accept_many t sh js
-    end
+    else accept t sh js
 
 let flush b =
   let err = ref None in
@@ -912,7 +857,7 @@ let drain (t : t) =
     if i = self then Ok (run (system_exn sh))
     else if get_state sh = `Degraded then Error (Degraded i)
     else begin
-      Mpsc.push sh.inbox (Job { run; trace = 0; abort });
+      Mpsc.push sh.inbox (Jobs [ { run; trace = 0; abort } ]);
       ignore (Atomic.fetch_and_add t.enqueued 1);
       Ok ()
     end
@@ -982,7 +927,8 @@ let replay_dead_letters t =
            Dead_letter policy would park a rejected replay a second time —
            plain bounded push, back to the ring exactly once on overflow *)
         if get_state sh = `Degraded then back ()
-        else if Mpsc.try_push sh.inbox ~capacity:t.capacity (Job j) then begin
+        else if Mpsc.try_push sh.inbox ~capacity:t.capacity (Jobs [ j ])
+        then begin
           ignore (Atomic.fetch_and_add t.enqueued 1);
           incr replayed
         end
@@ -1042,17 +988,10 @@ let worker t sh ~gen ready =
          match claim sh ~gen with
          | `Stale -> outcome := `Abandoned
          | `Run Stop -> outcome := `Stopped
-         | `Run (Job j) ->
-           Atomic.set sh.busy_since (Obs.Clock.now_ns ());
-           ignore (Atomic.fetch_and_add sh.heartbeat 1);
-           run_job t sh sys ~trace:j.trace j.run;
-           Atomic.set sh.busy_since 0.;
-           finish sh ~gen;
-           loop ()
          | `Run (Jobs js) ->
-           (* a flushed vector: per-job heartbeat/busy refresh so the
-              wedge watchdog sees progress inside a long vector, and
-              per-job containment exactly as if each had arrived alone *)
+           (* per-job heartbeat/busy refresh so the wedge watchdog sees
+              progress inside a long vector, and per-job containment
+              exactly as if each had arrived alone *)
            List.iter
              (fun j ->
                Atomic.set sh.busy_since (Obs.Clock.now_ns ());
@@ -1214,7 +1153,7 @@ let restart t sup sh ~wedged =
        would need per-job completion tracking; the operator replaying a
        vector's dead letters may re-run its completed prefix. *)
     (match cur with
-    | Some ((Job _ | Jobs _) as m) -> reject t sh.idx (Dead_lettered sh.idx) m
+    | Some (Jobs _ as m) -> reject t sh.idx (Dead_lettered sh.idx) m
     | Some Stop -> Mpsc.push sh.inbox Stop
     | None -> ());
     spawn_worker t sh None

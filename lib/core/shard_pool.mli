@@ -36,7 +36,7 @@
     {2 Lifecycle and typed errors}
 
     A pool is {e live} from {!create} until {!stop}.  Every submission
-    ({!post}, {!post_on}, {!run_on}, {!call}) returns a typed
+    ({!post}, {!post_on}, {!run_on}) returns a typed
     {!type:error} instead of raising or silently queueing when it cannot be
     accepted:
 
@@ -213,16 +213,6 @@ val post : t -> Oodb.Oid.t -> string -> Oodb.Value.t list -> (unit, error) resul
     means {e accepted} (it will execute unless the shard fails first); see
     the lifecycle section for the error cases.  The send's result value is
     discarded; failures inside it are contained per shard. *)
-
-val call :
-  ?timeout_ms:int ->
-  t ->
-  Oodb.Oid.t ->
-  string ->
-  Oodb.Value.t list ->
-  (Oodb.Value.t, exn) result
-(** Route a send and wait for its result.  Typed lifecycle errors arrive as
-    [Error (Shard_error _)]. *)
 
 val post_on : t -> int -> (System.t -> unit) -> (unit, error) result
 (** Run an arbitrary job on a shard, asynchronously. *)

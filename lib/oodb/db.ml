@@ -3,7 +3,7 @@ open Types
 type t = db
 type slot = Types.slot
 
-let create ?(layout = `Slots) () =
+let create () =
   {
     next_oid = 1;
     oid_stride = 1;
@@ -14,7 +14,6 @@ let create ?(layout = `Slots) () =
     dirty = Oid.Table.create 256;
     dirty_dead = Oid.Table.create 64;
     ckpt_gen = 1;
-    slots_mode = (layout = `Slots);
     objects = Oid.Table.create 1024;
     classes = Hashtbl.create 64;
     extents = Hashtbl.create 64;
@@ -48,8 +47,6 @@ let create ?(layout = `Slots) () =
         delta_checkpoints = 0;
       };
   }
-
-let layout_mode db = if db.slots_mode then `Slots else `Hashtbl
 
 let now db = db.now
 
@@ -199,31 +196,23 @@ let has_class db name = Hashtbl.mem db.classes name
 
 let new_object db ?(attrs = []) cls =
   let info = info db cls in
-  let store = Heap.fresh_store db info `Defaults in
-  (* the declared attribute set is exactly what `Defaults seeded: each name
-     resolves to its slot once, by position when [attrs] follows the layout
-     (as System's rule and event objects do), by hash otherwise *)
-  let put =
-    match store with
-    | S_slots slots ->
-      let names = info.ri_layout.ly_names in
-      let next = ref 0 in
-      fun (name, v) ->
-        let i =
-          if !next < Array.length names && String.equal names.(!next) name then !next
-          else
-            match Hashtbl.find_opt info.ri_layout.ly_by_name name with
-            | Some i -> i
-            | None -> raise (Errors.No_such_attribute (cls, name))
-        in
-        slots.(i) <- v;
-        next := i + 1
-    | S_table tbl ->
-      fun (name, v) ->
-        if Hashtbl.mem tbl name then Hashtbl.replace tbl name v
-        else raise (Errors.No_such_attribute (cls, name))
-  in
-  List.iter put attrs;
+  let store = Heap.fresh_store info `Defaults in
+  (* each name resolves to its slot once, by position when [attrs] follows
+     the layout (as System's rule and event objects do), by hash otherwise *)
+  let names = info.ri_layout.ly_names in
+  let next = ref 0 in
+  List.iter
+    (fun (name, v) ->
+      let i =
+        if !next < Array.length names && String.equal names.(!next) name then !next
+        else
+          match Hashtbl.find_opt info.ri_layout.ly_by_name name with
+          | Some i -> i
+          | None -> raise (Errors.No_such_attribute (cls, name))
+      in
+      store.(i) <- v;
+      next := i + 1)
+    attrs;
   let id = Oid.of_int db.next_oid in
   db.next_oid <- db.next_oid + db.oid_stride;
   (* the record is built once, filled store and final OID together *)
@@ -270,17 +259,11 @@ let is_instance_of db oid cls =
 
 let get db oid name =
   let o = Heap.find_obj db oid in
-  match o.store with
-  | S_slots slots -> (
-    match Hashtbl.find_opt o.info.ri_layout.ly_by_name name with
-    | Some i ->
-      let v = Array.unsafe_get slots i in
-      if v == absent then raise (Errors.No_such_attribute (o.cls, name)) else v
-    | None -> raise (Errors.No_such_attribute (o.cls, name)))
-  | S_table tbl -> (
-    match Hashtbl.find_opt tbl name with
-    | Some v -> v
-    | None -> raise (Errors.No_such_attribute (o.cls, name)))
+  match Hashtbl.find_opt o.info.ri_layout.ly_by_name name with
+  | Some i ->
+    let v = Array.unsafe_get o.store i in
+    if v == absent then raise (Errors.No_such_attribute (o.cls, name)) else v
+  | None -> raise (Errors.No_such_attribute (o.cls, name))
 
 let get_opt db oid name = Heap.obj_get (Heap.find_obj db oid) name
 
@@ -290,16 +273,10 @@ let log_set db oid name old v =
 
 let set db oid name v =
   let o = Heap.find_obj db oid in
-  match o.store with
-  | S_slots slots -> (
-    match Hashtbl.find_opt o.info.ri_layout.ly_by_name name with
-    | Some i when Array.unsafe_get slots i != absent ->
-      log_set db oid name (Heap.raw_set_slot db o i (Some v)) v
-    | _ -> raise (Errors.No_such_attribute (o.cls, name)))
-  | S_table tbl ->
-    if not (Hashtbl.mem tbl name) then
-      raise (Errors.No_such_attribute (o.cls, name));
-    log_set db oid name (Heap.raw_set_attr db o name (Some v)) v
+  match Hashtbl.find_opt o.info.ri_layout.ly_by_name name with
+  | Some i when Array.unsafe_get o.store i != absent ->
+    log_set db oid name (Heap.raw_set_slot db o i (Some v)) v
+  | _ -> raise (Errors.No_such_attribute (o.cls, name))
 
 let attrs db oid = Heap.sorted_attrs (Heap.find_obj db oid)
 
@@ -345,15 +322,9 @@ let slot_index (o : obj) (s : slot) =
 
 let slot_get_raw db oid (s : slot) =
   let o = Heap.find_obj db oid in
-  match o.store with
-  | S_slots slots ->
-    let v = Array.unsafe_get slots (slot_index o s) in
-    if v == absent then raise (Errors.No_such_attribute (o.cls, s.sl_name))
-    else v
-  | S_table tbl -> (
-    match Hashtbl.find_opt tbl s.sl_name with
-    | Some v -> v
-    | None -> raise (Errors.No_such_attribute (o.cls, s.sl_name)))
+  let v = Array.unsafe_get o.store (slot_index o s) in
+  if v == absent then raise (Errors.No_such_attribute (o.cls, s.sl_name))
+  else v
 
 let slot_get db oid (s : slot) =
   if not !Obs.armed then slot_get_raw db oid s
@@ -370,28 +341,18 @@ let slot_get db oid (s : slot) =
 
 let slot_get_opt db oid (s : slot) =
   let o = Heap.find_obj db oid in
-  match o.store with
-  | S_slots slots -> (
-    match Hashtbl.find_opt o.info.ri_layout.ly_by_name s.sl_name with
-    | exception _ -> None
-    | None -> None
-    | Some _ ->
-      let v = Array.unsafe_get slots (slot_index o s) in
-      if v == absent then None else Some v)
-  | S_table tbl -> Hashtbl.find_opt tbl s.sl_name
+  match Hashtbl.find_opt o.info.ri_layout.ly_by_name s.sl_name with
+  | None -> None
+  | Some _ ->
+    let v = Array.unsafe_get o.store (slot_index o s) in
+    if v == absent then None else Some v
 
 let slot_set_raw db oid (s : slot) v =
   let o = Heap.find_obj db oid in
-  match o.store with
-  | S_slots slots ->
-    let i = slot_index o s in
-    if Array.unsafe_get slots i == absent then
-      raise (Errors.No_such_attribute (o.cls, s.sl_name));
-    log_set db oid s.sl_name (Heap.raw_set_slot db o i (Some v)) v
-  | S_table tbl ->
-    if not (Hashtbl.mem tbl s.sl_name) then
-      raise (Errors.No_such_attribute (o.cls, s.sl_name));
-    log_set db oid s.sl_name (Heap.raw_set_attr db o s.sl_name (Some v)) v
+  let i = slot_index o s in
+  if Array.unsafe_get o.store i == absent then
+    raise (Errors.No_such_attribute (o.cls, s.sl_name));
+  log_set db oid s.sl_name (Heap.raw_set_slot db o i (Some v)) v
 
 let slot_set db oid (s : slot) v =
   if not !Obs.armed then slot_set_raw db oid s v
@@ -709,13 +670,10 @@ let iter_attr db oids attr f =
   Array.iter
     (fun oid ->
       let o = Oid.Table.find db.objects oid in
-      match o.store with
-      | S_slots slots ->
-        let i = slot_of (Heap.layout_of o) in
-        if i >= 0 then
-          let v = Array.unsafe_get slots i in
-          if v != absent then f v oid
-      | S_table tbl -> Option.iter (fun v -> f v oid) (Hashtbl.find_opt tbl attr))
+      let i = slot_of (Heap.layout_of o) in
+      if i >= 0 then
+        let v = Array.unsafe_get o.store i in
+        if v != absent then f v oid)
     oids
 
 (* An index is built in one pass over its extents, not by per-object

@@ -8,14 +8,8 @@
 
 type t = Types.db
 
-val create : ?layout:[ `Slots | `Hashtbl ] -> unit -> t
-(** [`Slots] (the default) compiles every object to a flat value array
-    addressed through its class's slot layout; [`Hashtbl] keeps the legacy
-    per-object name-keyed hashtable.  The switch exists so the two
-    representations can be benchmarked against each other in one binary;
-    both honour the same semantics. *)
-
-val layout_mode : t -> [ `Slots | `Hashtbl ]
+val create : unit -> t
+(** An empty database. *)
 
 (** {1 Schema} *)
 

@@ -6,7 +6,6 @@ exception No_such_method of string * string
 exception No_such_attribute of string * string
 exception Type_error of string
 exception Transaction_error of string
-exception Lock_conflict of Oid.t * string
 exception Rule_abort of string
 exception Parse_error of string
 
@@ -27,8 +26,6 @@ let () =
       Some (Printf.sprintf "No_such_attribute %S.%S" c a)
     | Type_error m -> Some ("Type_error: " ^ m)
     | Transaction_error m -> Some ("Transaction_error: " ^ m)
-    | Lock_conflict (o, m) ->
-      Some (Printf.sprintf "Lock_conflict on %s: %s" (Oid.to_string o) m)
     | Rule_abort m -> Some ("Rule_abort: " ^ m)
     | Parse_error m -> Some ("Parse_error: " ^ m)
     | Io_error m -> Some ("Io_error: " ^ m)

@@ -15,10 +15,6 @@ exception Type_error of string
 exception Transaction_error of string
 (** commit/abort without an open transaction, and similar misuse. *)
 
-exception Lock_conflict of Oid.t * string
-(** A session could not acquire a lock (holder description attached).
-    No-wait two-phase locking: the requester should abort and retry. *)
-
 exception Rule_abort of string
 (** Raised by a rule action (or an Ode hard constraint) to abort the
     triggering transaction — the paper's [A: abort] in Figure 9. *)

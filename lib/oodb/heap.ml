@@ -2,11 +2,9 @@
    and Transaction (undo replay).  Nothing here logs undo records or raises
    events; callers are responsible for that.
 
-   Objects carry one of two attribute stores (Types.attr_store): the
-   compiled S_slots array addressed through the class layout, or the legacy
-   S_table hashtable kept as the measured baseline.  Everything below is
-   polymorphic over the store so the rest of the system never matches on the
-   representation. *)
+   An object's attributes live in a flat value array addressed through its
+   class's slot layout (Types.layout); [absent] marks a slot that holds
+   nothing. *)
 
 open Types
 
@@ -43,8 +41,8 @@ let covering_indexes db cls attr =
     (fun c -> Hashtbl.find_opt db.indexes (c, attr))
     (Schema.ancestry db cls)
 
-(* Slot-mode covering lookup: cached per layout slot, refreshed when the
-   database's index generation moved. *)
+(* Covering lookup cached per layout slot, refreshed when the database's
+   index generation moved. *)
 let refresh_covering db (ly : layout) =
   Array.iteri
     (fun j name -> ly.ly_covering.(j) <- covering_indexes db ly.ly_class name)
@@ -88,54 +86,26 @@ let slot_by_name (o : obj) name =
   | None -> -1
 
 let obj_get (o : obj) name =
-  match o.store with
-  | S_table tbl -> Hashtbl.find_opt tbl name
-  | S_slots slots -> (
-    match Hashtbl.find_opt (layout_of o).ly_by_name name with
-    | None -> None
-    | Some i ->
-      let v = Array.unsafe_get slots i in
-      if v == absent then None else Some v)
+  match Hashtbl.find_opt (layout_of o).ly_by_name name with
+  | None -> None
+  | Some i ->
+    let v = Array.unsafe_get o.store i in
+    if v == absent then None else Some v
 
 let iter_attrs f (o : obj) =
-  match o.store with
-  | S_table tbl -> Hashtbl.iter f tbl
-  | S_slots slots ->
-    let ly = layout_of o in
-    Array.iteri (fun i v -> if v != absent then f ly.ly_names.(i) v) slots
+  let ly = layout_of o in
+  Array.iteri (fun i v -> if v != absent then f ly.ly_names.(i) v) o.store
 
 let sorted_attrs (o : obj) =
   let acc = ref [] in
   iter_attrs (fun k v -> acc := (k, v) :: !acc) o;
   List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
 
-(* Write without index maintenance or undo logging: object construction and
-   schema-evolution plumbing.  @raise No_such_attribute in slot mode when
-   the layout has no slot for [name]. *)
-let store_put_raw (o : obj) name v =
-  match o.store with
-  | S_table tbl -> Hashtbl.replace tbl name v
-  | S_slots slots ->
-    let i = slot_by_name o name in
-    if i < 0 then raise (Errors.No_such_attribute (o.cls, name))
-    else slots.(i) <- v
-
-(* Lenient variant for snapshot loading: an attribute the current layout
-   does not declare is dropped (the hashtable store keeps it, preserving the
-   legacy behaviour of carrying undeclared snapshot attributes). *)
+(* Write without index maintenance or undo logging, for snapshot loading:
+   an attribute the current layout does not declare is dropped. *)
 let store_put_loose (o : obj) name v =
-  match o.store with
-  | S_table tbl -> Hashtbl.replace tbl name v
-  | S_slots slots ->
-    let i = slot_by_name o name in
-    if i >= 0 then slots.(i) <- v
-
-let store_remove_raw (o : obj) name =
-  match o.store with
-  | S_table tbl -> Hashtbl.remove tbl name
-  | S_slots slots ->
-    let i = slot_by_name o name in
-    if i >= 0 then slots.(i) <- absent
+  let i = slot_by_name o name in
+  if i >= 0 then o.store.(i) <- v
 
 (* --- construction -------------------------------------------------------- *)
 
@@ -143,21 +113,11 @@ let store_remove_raw (o : obj) name =
    declared attribute with its default (object creation), [`Empty] starts
    all-absent (snapshot loading, which replays the saved attributes on
    top). *)
-let fresh_store db (info : class_info) seed =
+let fresh_store (info : class_info) seed =
   let ly = info.ri_layout in
-  if db.slots_mode then
-    S_slots
-      (match seed with
-      | `Defaults -> Array.copy ly.ly_defaults
-      | `Empty -> Array.make (Array.length ly.ly_defaults) absent)
-  else begin
-    let tbl = Hashtbl.create (max 4 (Array.length ly.ly_names)) in
-    (match seed with
-    | `Defaults ->
-      Array.iteri (fun i n -> Hashtbl.replace tbl n ly.ly_defaults.(i)) ly.ly_names
-    | `Empty -> ());
-    S_table tbl
-  end
+  match seed with
+  | `Defaults -> Array.copy ly.ly_defaults
+  | `Empty -> Array.make (Array.length ly.ly_defaults) absent
 
 let make_obj ~id ~cls ~info ~store ~consumers =
   { id; cls; info; store; consumers; alive = true; dirty_gen = 0 }
@@ -185,73 +145,50 @@ let clear_dirty db =
   db.ckpt_gen <- db.ckpt_gen + 1
 
 (* Set or remove ([v = None]) the attribute at slot [i], keeping covering
-   indexes in sync.  Returns the previous binding.  Slot stores only. *)
+   indexes in sync.  Returns the previous binding. *)
 let raw_set_slot db (o : obj) i v =
-  match o.store with
-  | S_table _ -> invalid_arg "Heap.raw_set_slot: hashtable store"
-  | S_slots slots ->
-    mark_dirty db o;
-    let cur = Array.unsafe_get slots i in
-    let old = if cur == absent then None else Some cur in
-    let ixs = covering_of_slot db (layout_of o) i in
-    (match (ixs, old) with
-    | [], _ | _, None -> ()
-    | ixs, Some ov -> List.iter (fun ix -> index_remove ix ov o.id) ixs);
-    (match v with
-    | Some nv ->
-      Array.unsafe_set slots i nv;
-      if ixs <> [] then List.iter (fun ix -> index_add ix nv o.id) ixs
-    | None -> Array.unsafe_set slots i absent);
-    old
+  mark_dirty db o;
+  let slots = o.store in
+  let cur = Array.unsafe_get slots i in
+  let old = if cur == absent then None else Some cur in
+  let ixs = covering_of_slot db (layout_of o) i in
+  (match (ixs, old) with
+  | [], _ | _, None -> ()
+  | ixs, Some ov -> List.iter (fun ix -> index_remove ix ov o.id) ixs);
+  (match v with
+  | Some nv ->
+    Array.unsafe_set slots i nv;
+    if ixs <> [] then List.iter (fun ix -> index_add ix nv o.id) ixs
+  | None -> Array.unsafe_set slots i absent);
+  old
 
 (* Set or remove ([v = None]) an attribute by name, keeping covering indexes
    in sync.  Returns the previous binding. *)
 let raw_set_attr db (o : obj) name v =
-  match o.store with
-  | S_slots _ -> (
-    let i = slot_by_name o name in
-    if i >= 0 then raw_set_slot db o i v
-    else
-      match v with
-      | None -> None (* removing an attribute the layout never had *)
-      | Some _ -> raise (Errors.No_such_attribute (o.cls, name)))
-  | S_table tbl ->
-    mark_dirty db o;
-    let old = Hashtbl.find_opt tbl name in
-    let ixs = covering_indexes db o.cls name in
-    List.iter
-      (fun ix -> match old with Some ov -> index_remove ix ov o.id | None -> ())
-      ixs;
-    (match v with
-    | Some nv ->
-      Hashtbl.replace tbl name nv;
-      List.iter (fun ix -> index_add ix nv o.id) ixs
-    | None -> Hashtbl.remove tbl name);
-    old
+  let i = slot_by_name o name in
+  if i >= 0 then raw_set_slot db o i v
+  else
+    match v with
+    | None -> None (* removing an attribute the layout never had *)
+    | Some _ -> raise (Errors.No_such_attribute (o.cls, name))
 
 (* Add ([index_add]) or remove ([index_remove]) every present attribute of
-   [o] to or from the indexes covering it.  Slot objects read the covering
-   lists from their layout's per-slot cache, as [raw_set_slot] does, so an
-   object create or delete hashes nothing, and walks no slot when no index
-   covers its class. *)
+   [o] to or from the indexes covering it.  The covering lists come from the
+   layout's per-slot cache, as in [raw_set_slot], so an object create or
+   delete hashes nothing, and walks no slot when no index covers its
+   class. *)
 let reindex_all_attrs op db (o : obj) =
-  match o.store with
-  | S_slots slots ->
-    let ly = layout_of o in
-    if ly.ly_ix_stamp <> db.index_gen then refresh_covering db ly;
-    if ly.ly_covered then
-      for i = 0 to Array.length slots - 1 do
-        let v = Array.unsafe_get slots i in
-        if v != absent then
-          match Array.unsafe_get ly.ly_covering i with
-          | [] -> ()
-          | ixs -> List.iter (fun ix -> op ix v o.id) ixs
-      done
-  | S_table tbl ->
-    Hashtbl.iter
-      (fun name v ->
-        List.iter (fun ix -> op ix v o.id) (covering_indexes db o.cls name))
-      tbl
+  let slots = o.store in
+  let ly = layout_of o in
+  if ly.ly_ix_stamp <> db.index_gen then refresh_covering db ly;
+  if ly.ly_covered then
+    for i = 0 to Array.length slots - 1 do
+      let v = Array.unsafe_get slots i in
+      if v != absent then
+        match Array.unsafe_get ly.ly_covering i with
+        | [] -> ()
+        | ixs -> List.iter (fun ix -> op ix v o.id) ixs
+    done
 
 (* --- subscription reverse index -------------------------------------------- *)
 
@@ -324,18 +261,15 @@ let remove_obj db o =
    indexes them explicitly), and values whose slot disappeared are dropped
    (Evolution unindexed them before the spec change). *)
 let migrate_obj (o : obj) (ninfo : class_info) =
-  (match o.store with
-  | S_table _ -> ()
-  | S_slots slots ->
-    let oly = o.info.ri_layout and nly = ninfo.ri_layout in
-    if oly != nly && oly.ly_syms <> nly.ly_syms then begin
-      let fresh = Array.make (Array.length nly.ly_syms) absent in
-      Array.iteri
-        (fun i s ->
-          match Hashtbl.find_opt oly.ly_by_sym s with
-          | Some j -> fresh.(i) <- slots.(j)
-          | None -> ())
-        nly.ly_syms;
-      o.store <- S_slots fresh
-    end);
+  let oly = o.info.ri_layout and nly = ninfo.ri_layout in
+  if oly != nly && oly.ly_syms <> nly.ly_syms then begin
+    let fresh = Array.make (Array.length nly.ly_syms) absent in
+    Array.iteri
+      (fun i s ->
+        match Hashtbl.find_opt oly.ly_by_sym s with
+        | Some j -> fresh.(i) <- o.store.(j)
+        | None -> ())
+      nly.ly_syms;
+    o.store <- fresh
+  end;
   o.info <- ninfo

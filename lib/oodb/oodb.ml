@@ -32,5 +32,4 @@ module Wal = Wal
 module Evolution = Evolution
 module Gc = Gc
 module Introspect = Introspect
-module Session = Session
 module Verify = Verify

@@ -385,7 +385,7 @@ let read db read_line =
        add_attribute) loads as absent, not as the current default *)
     let o =
       Heap.make_obj ~id:oid ~cls ~info
-        ~store:(Heap.fresh_store db info `Empty)
+        ~store:(Heap.fresh_store info `Empty)
         ~consumers:[]
     in
     let rec body () =
@@ -396,7 +396,7 @@ let read db read_line =
         | [ "end" ] -> ()
         | "a" :: name :: [ enc ] ->
           (* loose: snapshot attributes the current schema no longer
-             declares are dropped in slot mode, carried in table mode *)
+             declares are dropped *)
           Heap.store_put_loose o name (decode_value enc);
           body ()
         | "c" :: oids ->
@@ -576,7 +576,7 @@ let apply_delta ?(storage = Storage.unix) db path =
           let info = Heap.class_info db cls in
           let o =
             Heap.make_obj ~id:oid ~cls ~info
-              ~store:(Heap.fresh_store db info `Empty)
+              ~store:(Heap.fresh_store info `Empty)
               ~consumers:[]
           in
           let rec body () =

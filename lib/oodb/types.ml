@@ -38,12 +38,12 @@ type occurrence = {
    works across classes thanks to the subclass prefix invariant. *)
 type slot = { sl_name : string; sl_sym : Symbol.t; sl_index : int }
 
-(* Slot-mode "attribute is not stored" marker.  Attributes can be
+(* The "attribute is not stored" slot marker.  Attributes can be
    legitimately absent (snapshot predating an add_attribute, undo of a
    backfill, remove_attribute mid-flight), and [Db.get_opt] must tell
-   absence apart from a stored [Null] — the hashtable representation got
-   that from key presence.  Compare with [==] only; the sentinel is never
-   indexed, never persisted and never escapes through the public API. *)
+   absence apart from a stored [Null].  Compare with [==] only; the
+   sentinel is never indexed, never persisted and never escapes through the
+   public API. *)
 let absent : Value.t = Value.Str "\000<absent>\000"
 
 type method_def = { mname : string; impl : db -> Oid.t -> Value.t list -> Value.t }
@@ -112,15 +112,6 @@ and layout = {
   mutable ly_covered : bool;
 }
 
-(* Attribute storage.  [S_slots] is the compiled representation: a flat
-   value array indexed by the class layout.  [S_table] is the legacy
-   name-keyed hashtable, kept selectable (Db.create ~layout:`Hashtbl) as
-   the measured baseline for the E-oltp benchmark and the CI bench-smoke
-   regression gate. *)
-and attr_store =
-  | S_slots of Value.t array
-  | S_table of (string, Value.t) Hashtbl.t
-
 (* One consumer's subscriptions: the live objects whose [consumers] list
    holds it, and the classes whose class-level list does. *)
 and subscriptions = {
@@ -135,7 +126,9 @@ and obj = {
      and slot access skip the class_info hashtable probe.  Evolution keeps
      it fresh (Heap.migrate_obj) when it replaces a class's info. *)
   mutable info : class_info;
-  mutable store : attr_store;
+  (* Attribute storage: a flat value array indexed by the class layout;
+     [absent] marks an attribute that is not stored. *)
+  mutable store : Value.t array;
   (* The paper's Reactive::consumers data member: notifiable objects that
      subscribed to this instance's events.  Stored newest-first so subscribe
      is O(1); subscription order is recovered by reversing. *)
@@ -247,10 +240,6 @@ and db = {
   (* Dirty-epoch counter, bumped whenever [dirty] is cleared; see
      [obj.dirty_gen]. Starts at 1 so a fresh object's 0 stamp never matches. *)
   mutable ckpt_gen : int;
-  (* Slot mode (the default) compiles objects to S_slots arrays; hashtbl
-     mode preserves the legacy per-object S_table representation for
-     baseline measurement. *)
-  slots_mode : bool;
   objects : obj Oid.Table.t;
   classes : (string, class_def) Hashtbl.t;
   extents : (string, unit Oid.Table.t) Hashtbl.t; (* direct extent per class *)

@@ -31,16 +31,13 @@ let check ?(quiescent = false) (db : Db.t) =
         (* slot store must match the layout; checked before the attribute
            walk, which addresses slots through the layout *)
         let store_ok =
-          match o.store with
-          | S_table _ -> true
-          | S_slots slots ->
-            let n = Array.length o.info.ri_layout.ly_names in
-            if Array.length slots = n then true
-            else begin
-              complain "%s: slot array has %d slots but layout has %d"
-                (Oid.to_string oid) (Array.length slots) n;
-              false
-            end
+          let n = Array.length o.info.ri_layout.ly_names in
+          if Array.length o.store = n then true
+          else begin
+            complain "%s: slot array has %d slots but layout has %d"
+              (Oid.to_string oid) (Array.length o.store) n;
+            false
+          end
         in
         if store_ok then begin
           (* attribute set = declared set *)

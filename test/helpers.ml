@@ -40,8 +40,8 @@ let contains_substring ~sub s =
   n = 0 || scan 0
 
 (* A database with the Figure 8 employee/manager schema installed. *)
-let employee_db ?layout () =
-  let db = Db.create ?layout () in
+let employee_db () =
+  let db = Db.create () in
   Workloads.Payroll.install db;
   db
 

@@ -2,28 +2,8 @@
    and could disagree. *)
 
 open Helpers
-module Session = Oodb.Session
 module Template = Sentinel.Template
 module Evolution = Oodb.Evolution
-
-let test_session_send_triggers_rules () =
-  let db = employee_db () in
-  let sys = System.create db in
-  let fired = ref 0 in
-  System.register_action sys "count" (fun _ _ -> incr fired);
-  let e = new_employee db ~salary:1. in
-  ignore
-    (System.create_rule sys ~monitor:[ e ]
-       ~event:(Expr.eom ~cls:"employee" "set_salary")
-       ~condition:"true" ~action:"count" ());
-  let m = Session.manager db in
-  let s = Session.session m in
-  Session.begin_ s;
-  ignore (Session.send s e "set_salary" [ Value.Float 9. ]);
-  Alcotest.(check int) "immediate rule fired through session" 1 !fired;
-  (* the session abort restores the receiver even though the rule ran *)
-  Session.abort s;
-  Alcotest.check value "receiver restored" (Value.Float 1.) (Db.get db e "salary")
 
 let test_template_with_filters () =
   let db = Db.create () in
@@ -205,7 +185,6 @@ let prop_system_consistency =
 
 let suite =
   [
-    test "session send triggers rules" test_session_send_triggers_rules;
     test "template with filters" test_template_with_filters;
     test "evolved class with DSL rules" test_evolved_class_with_rules;
     test "wal replays rule objects" test_wal_replays_rule_objects;

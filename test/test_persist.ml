@@ -184,52 +184,80 @@ let test_save_atomic_and_tmp_cleanup () =
 (* Frozen pre-slot fixtures (test/fixtures/gen_note.md): a snapshot and a
    rotated WAL written by the hashtbl-era build.  Loading and replaying them
    into today's slot-compiled store proves the on-disk contract — attribute
-   names stay strings — survived the layout refactor.  Runs in both layout
-   modes. *)
+   names stay strings — survived the layout refactor. *)
 let test_preslot_fixture_compat () =
-  let run layout =
-    let db = Db.create ~layout () in
-    Db.define_class db
-      (Schema.define "fx_account"
-         ~attrs:
-           [
-             ("owner", Value.Str "");
-             ("balance", Value.Int 0);
-             ("tags", Value.List []);
-           ]);
-    Db.define_class db
-      (Schema.define "fx_savings" ~super:"fx_account"
-         ~attrs:[ ("rate", Value.Float 0.01) ]);
-    Persist.load db (fixture "preslot.snapshot");
-    let applied = Oodb.Wal.replay db (fixture "preslot.wal") in
-    Alcotest.(check int) "post-checkpoint batches replay" 3 applied;
-    let o n = Oid.of_int n in
-    (* obj 1: untouched by the WAL *)
-    Alcotest.check value "o1 balance" (Value.Int 140) (Db.get db (o 1) "balance");
-    Alcotest.check value "o1 owner" (Value.Str "ann") (Db.get db (o 1) "owner");
-    Alcotest.check value "o1 tags"
-      (Value.List [ Value.Str "vip"; Value.Int 7 ])
-      (Db.get db (o 1) "tags");
-    Alcotest.(check (list oid)) "o1 consumers" [ o 2 ] (Db.consumers_of db (o 1));
-    (* obj 2: balance and rate updated by batch 7 *)
-    Alcotest.check value "o2 balance" (Value.Int 300) (Db.get db (o 2) "balance");
-    Alcotest.check value "o2 rate" (Value.Float 0.07) (Db.get db (o 2) "rate");
-    Alcotest.check value "o2 owner" (Value.Str "bob") (Db.get db (o 2) "owner");
-    (* obj 3 was deleted before the checkpoint; obj 4 created by batch 8 *)
-    Alcotest.(check bool) "o3 gone" false (Db.exists db (o 3));
-    Alcotest.check value "o4 balance" (Value.Int 11) (Db.get db (o 4) "balance");
-    Alcotest.check value "o4 owner" (Value.Str "cyd") (Db.get db (o 4) "owner");
-    (* the snapshot's index was rebuilt and followed the replayed writes *)
-    Alcotest.(check (list oid)) "index finds o4" [ o 4 ]
-      (Db.index_lookup db ~cls:"fx_account" ~attr:"balance" (Value.Int 11));
-    Alcotest.(check (list oid)) "index dropped o2's old key" []
-      (Db.index_lookup db ~cls:"fx_account" ~attr:"balance" (Value.Int 250));
-    Alcotest.(check (list oid)) "class consumers" [ o 2 ]
-      (Db.class_consumers_of db "fx_account");
-    Oodb.Verify.check_exn db
+  let db = Db.create () in
+  Db.define_class db
+    (Schema.define "fx_account"
+       ~attrs:
+         [
+           ("owner", Value.Str "");
+           ("balance", Value.Int 0);
+           ("tags", Value.List []);
+         ]);
+  Db.define_class db
+    (Schema.define "fx_savings" ~super:"fx_account"
+       ~attrs:[ ("rate", Value.Float 0.01) ]);
+  Persist.load db (fixture "preslot.snapshot");
+  let applied = Oodb.Wal.replay db (fixture "preslot.wal") in
+  Alcotest.(check int) "post-checkpoint batches replay" 3 applied;
+  let o n = Oid.of_int n in
+  (* obj 1: untouched by the WAL *)
+  Alcotest.check value "o1 balance" (Value.Int 140) (Db.get db (o 1) "balance");
+  Alcotest.check value "o1 owner" (Value.Str "ann") (Db.get db (o 1) "owner");
+  Alcotest.check value "o1 tags"
+    (Value.List [ Value.Str "vip"; Value.Int 7 ])
+    (Db.get db (o 1) "tags");
+  Alcotest.(check (list oid)) "o1 consumers" [ o 2 ] (Db.consumers_of db (o 1));
+  (* obj 2: balance and rate updated by batch 7 *)
+  Alcotest.check value "o2 balance" (Value.Int 300) (Db.get db (o 2) "balance");
+  Alcotest.check value "o2 rate" (Value.Float 0.07) (Db.get db (o 2) "rate");
+  Alcotest.check value "o2 owner" (Value.Str "bob") (Db.get db (o 2) "owner");
+  (* obj 3 was deleted before the checkpoint; obj 4 created by batch 8 *)
+  Alcotest.(check bool) "o3 gone" false (Db.exists db (o 3));
+  Alcotest.check value "o4 balance" (Value.Int 11) (Db.get db (o 4) "balance");
+  Alcotest.check value "o4 owner" (Value.Str "cyd") (Db.get db (o 4) "owner");
+  (* the snapshot's index was rebuilt and followed the replayed writes *)
+  Alcotest.(check (list oid)) "index finds o4" [ o 4 ]
+    (Db.index_lookup db ~cls:"fx_account" ~attr:"balance" (Value.Int 11));
+  Alcotest.(check (list oid)) "index dropped o2's old key" []
+    (Db.index_lookup db ~cls:"fx_account" ~attr:"balance" (Value.Int 250));
+  Alcotest.(check (list oid)) "class consumers" [ o 2 ]
+    (Db.class_consumers_of db "fx_account");
+  Oodb.Verify.check_exn db
+
+(* An [a] line for an attribute the reader's class does not declare is
+   dropped on load, from a snapshot and from a delta alike: the object reads
+   as if the attribute had never been stored. *)
+let test_undeclared_attribute_dropped () =
+  (* the writer declares "grade"; the readers' schema does not *)
+  let src = employee_db () in
+  let e = new_employee src ~name:"ann" in
+  ignore
+    (Oodb.Evolution.add_attribute src ~cls:"employee" ~attr:"grade"
+       ~default:(Value.Int 3));
+  let check_dropped label text load =
+    Alcotest.(check bool) (label ^ " carries the line") true
+      (contains_substring ~sub:"\na grade " text);
+    let db = employee_db () in
+    load db;
+    Alcotest.(check bool) (label ^ ": attrs omit it") false
+      (List.mem_assoc "grade" (Db.attrs db e));
+    Alcotest.(check (option value)) (label ^ ": get_opt") None
+      (Db.get_opt db e "grade");
+    Alcotest.check value (label ^ ": declared attributes load") (Value.Str "ann")
+      (Db.get db e "name");
+    Alcotest.(check bool) (label ^ ": verifies") true (Oodb.Verify.check db = Ok ())
   in
-  run `Slots;
-  run `Hashtbl
+  let text = Persist.to_string src in
+  check_dropped "snapshot" text (fun db -> Persist.of_string db text);
+  let fs = Oodb.Storage.Mem.create () in
+  let storage = Oodb.Storage.Mem.storage fs in
+  ignore (Persist.save_delta ~storage src "d");
+  check_dropped "delta" (Oodb.Storage.Mem.contents fs "d") (fun db ->
+      match Persist.apply_delta ~storage db "d" with
+      | `Applied -> ()
+      | `Stale -> Alcotest.fail "delta not applied")
 
 (* Property: a store with random employees roundtrips attribute-exactly. *)
 let prop_db_roundtrip =
@@ -264,5 +292,6 @@ let suite =
     test "save/load via file" test_save_load_file;
     test "atomic save cleans up its temp file" test_save_atomic_and_tmp_cleanup;
     test "pre-slot fixture loads and replays" test_preslot_fixture_compat;
+    test "undeclared snapshot attribute dropped" test_undeclared_attribute_dropped;
     prop_db_roundtrip;
   ]

@@ -65,27 +65,11 @@ let test_detects_corruption () =
     Alcotest.(check bool) "flags unindexed object" true
       (List.exists (contains_substring ~sub:"not indexed") ps)
   | Ok () -> Alcotest.fail "corruption not detected");
-  ignore e;
-  (* corrupt an attribute table (hashtbl layout): undeclared attribute *)
-  let db2 = employee_db ~layout:`Hashtbl () in
-  let e2 = new_employee db2 in
-  let o = Oodb.Oid.Table.find db2.Oodb.Types.objects e2 in
-  (match o.Oodb.Types.store with
-  | Oodb.Types.S_table tbl -> Hashtbl.replace tbl "smuggled" Value.Null
-  | Oodb.Types.S_slots _ -> assert false);
-  (match Verify.check db2 with
-  | Error ps ->
-    Alcotest.(check bool) "flags undeclared attr" true
-      (List.exists (contains_substring ~sub:"undeclared") ps)
-  | Ok () -> Alcotest.fail "undeclared attribute not detected");
   (* corrupt a slot store: truncated array *)
   let db3 = employee_db () in
   let e3 = new_employee db3 in
   let o3 = Oodb.Oid.Table.find db3.Oodb.Types.objects e3 in
-  (match o3.Oodb.Types.store with
-  | Oodb.Types.S_slots slots ->
-    o3.Oodb.Types.store <- Oodb.Types.S_slots (Array.sub slots 0 1)
-  | Oodb.Types.S_table _ -> assert false);
+  o3.Oodb.Types.store <- Array.sub o3.Oodb.Types.store 0 1;
   match Verify.check db3 with
   | Error ps ->
     Alcotest.(check bool) "flags short slot array" true
@@ -101,10 +85,7 @@ let test_problems_in_oid_order () =
   List.iter
     (fun e ->
       let o = Oid.Table.find db.Oodb.Types.objects e in
-      match o.Oodb.Types.store with
-      | Oodb.Types.S_slots slots ->
-        o.Oodb.Types.store <- Oodb.Types.S_slots (Array.sub slots 0 1)
-      | Oodb.Types.S_table _ -> assert false)
+      o.Oodb.Types.store <- Array.sub o.Oodb.Types.store 0 1)
     picked;
   match Verify.check db with
   | Ok () -> Alcotest.fail "truncated slot arrays not detected"
