@@ -1341,11 +1341,11 @@ let e_oltp () =
   row "  1000-rule routing: broadcast %.0f ev/s, indexed %.0f ev/s (%.1fx)\n"
     b_eps i_eps (i_eps /. b_eps);
   (* Domain-parallel send throughput: one reactive rule per shard, sends
-     routed by OID hash through a Shard_pool at shards={1,2,4}.  A 1-shard
-     pool executes directly on the caller (no domain, no queue), so its row
-     is the single-threaded engine plus the post wrapper — gated within 5%
-     of the raw Db.send path measured in the same run.  The scaling gate
-     only applies when the machine has cores to scale onto. *)
+     routed by OID hash through a Shard_pool at shards={1,2,4}.  Every row,
+     the 1-shard one included, posts to worker domains through mailboxes;
+     the direct row is the raw Db.send path on the caller, for reference.
+     The scaling gate only applies when the machine has cores to scale
+     onto. *)
   let shard_send_iters = if smoke then 40_000 else 200_000 in
   let cores = Domain.recommended_domain_count () in
   let shard_init _pool _i =
@@ -1468,17 +1468,10 @@ let e_oltp () =
   Printf.fprintf oc "  ]\n}\n";
   close_out oc;
   row "  wrote BENCH_oltp.json\n";
-  (* CI regression gates (smoke runs only) on the shards axis: the 1-shard
-     pool must not tax the single-threaded path, and adding a shard must
-     actually scale where cores exist. *)
+  (* CI regression gates (smoke runs only) on the shards axis: adding a
+     shard must actually scale where cores exist, and supervision must stay
+     cheap. *)
   if smoke then begin
-    if shards1 < 0.95 *. direct_eps then begin
-      row "  FAIL: shards=1 pool send %.0f ev/s below 95%% of the direct \
-           path %.0f ev/s\n"
-        shards1 direct_eps;
-      exit 1
-    end
-    else row "  bench-smoke gate: shards=1 within 5%% of direct sends (ok)\n";
     let shards2 = List.assoc 2 shard_rows in
     if cores >= 2 then begin
       if shards2 < 1.6 *. shards1 then begin

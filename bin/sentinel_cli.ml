@@ -389,25 +389,18 @@ let cmd_trace txns out =
   | None -> print_endline json
 
 (* Domain-parallel execution: run the payroll send workload through an
-   OID-sharded pool and report per-shard activity.  --shards 1 degenerates
-   to inline execution on the calling domain, the baseline the bench's
-   scaling gate compares against.  Multi-shard pools run supervised:
-   --kill demonstrates a mid-batch crash being detected and restarted, and
-   --status renders the per-shard supervision table. *)
+   OID-sharded pool and report per-shard activity.  The pool runs
+   supervised at every shard count: --kill demonstrates a mid-batch crash
+   being detected and restarted, and --status renders the per-shard
+   supervision table. *)
 let cmd_shards shards objects ops status kill =
   if shards < 1 then failwith "need at least one shard";
   let fired = Array.init shards (fun _ -> Atomic.make 0) in
   let supervision =
-    if shards > 1 then
-      Some
-        {
-          Sentinel.Shard_pool.default_supervision with
-          heartbeat_interval_ms = 2;
-        }
-    else None
+    { Sentinel.Shard_pool.default_supervision with heartbeat_interval_ms = 2 }
   in
   let pool =
-    Sentinel.Shard_pool.create ~shards ?supervision
+    Sentinel.Shard_pool.create ~shards ~supervision
       ~init:(fun _pool i ->
         let db = Db.create () in
         Workloads.Payroll.install db;
@@ -450,7 +443,6 @@ let cmd_shards shards objects ops status kill =
   done;
   (match kill with
   | Some victim ->
-    if shards < 2 then failwith "--kill needs --shards > 1";
     if victim < 0 || victim >= shards then failwith "--kill: no such shard";
     (match Sentinel.Shard_pool.kill pool victim with
     | Ok () -> ()
@@ -495,8 +487,7 @@ let cmd_shards shards objects ops status kill =
         (Atomic.get c))
     fired;
   if status then begin
-    Printf.printf "supervision status%s:\n"
-      (if shards = 1 then " (inline pool: no supervisor)" else "");
+    Printf.printf "supervision status:\n";
     Printf.printf "  %-5s  %-10s  %9s  %6s  %8s  %5s\n" "shard" "state"
       "processed" "failed" "restarts" "inbox";
     Array.iteri
@@ -934,9 +925,7 @@ let shards_cmd =
     Arg.(
       value & opt int 4
       & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Number of OID-sharded engine domains ($(b,1) runs inline on \
-             the calling domain).")
+          ~doc:"Number of OID-sharded engine domains.")
   in
   let status_arg =
     Arg.(
@@ -979,9 +968,7 @@ let ingest_cmd =
     Arg.(
       value & opt int 1
       & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Number of OID-sharded engine domains ($(b,1) ingests inline on \
-             the calling domain).")
+          ~doc:"Number of OID-sharded engine domains.")
   in
   Cmd.v
     (Cmd.info "ingest"

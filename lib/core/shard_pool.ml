@@ -467,10 +467,10 @@ let take_deferred sh =
 let run_deferred sealed fs = List.iter (fun f -> try f sealed with _ -> ()) fs
 
 (* Park [f] until the owning shard's next durability point; [false] means
-   the pool has no idle hook (or runs inline), so the caller completes
-   immediately — deferral only makes sense when something seals on idle. *)
+   the pool has no idle hook, so the caller completes immediately —
+   deferral only makes sense when something seals on idle. *)
 let defer_durable t idx f =
-  if t.on_idle = None || t.n = 1 then false
+  if t.on_idle = None then false
   else begin
     defer_on t.shards.(idx) f;
     true
@@ -551,20 +551,11 @@ let accept t sh js =
       in
       wait 1
 
-let submit t idx ~run ~abort =
+(* [trace] (default: the caller's current trace) is the id a queued job
+   runs under; a job already on its owning shard keeps the ambient one. *)
+let submit ?trace t idx ~run ~abort =
   if idx < 0 || idx >= t.n then invalid_arg "Shard_pool: bad shard index";
   if Atomic.get t.stopped then Error Stopped
-  else if t.n = 1 then begin
-    (* a 1-shard pool degenerates to direct execution on the caller: no
-       domain, no queue, no DLS lookup, and none of the queue accounting a
-       drain would reconcile — jobs run synchronously, so the pool is
-       always quiescent.  This keeps the inline path at the seed's cost:
-       one containment frame and one counter bump over a raw call. *)
-    let sh = t.shards.(0) in
-    (try run (system_exn sh) with e -> note_failure t sh e);
-    ignore (Atomic.fetch_and_add sh.processed 1);
-    Ok ()
-  end
   else begin
     let sh = t.shards.(idx) in
     match Domain.DLS.get current_ctx with
@@ -573,15 +564,18 @@ let submit t idx ~run ~abort =
       ignore (Atomic.fetch_and_add t.enqueued 1);
       run_job t sh c.c_sys ~trace:0 run;
       Ok ()
-    | Some c when c.c_pool == t ->
+    | ctx ->
       if get_state sh = `Degraded then Error (Degraded idx)
       else begin
-        ignore (Atomic.fetch_and_add t.forwarded 1);
-        accept t sh [ { run; trace = Obs.Trace.current (); abort } ]
+        (match ctx with
+        | Some c when c.c_pool == t ->
+          ignore (Atomic.fetch_and_add t.forwarded 1)
+        | _ -> ());
+        let trace =
+          match trace with Some tr -> tr | None -> Obs.Trace.current ()
+        in
+        accept t sh [ { run; trace; abort } ]
       end
-    | _ ->
-      if get_state sh = `Degraded then Error (Degraded idx)
-      else accept t sh [ { run; trace = Obs.Trace.current (); abort } ]
   end
 
 let post_on t idx run = submit t idx ~run ~abort:None
@@ -708,7 +702,6 @@ let batch_submit ?trace b idx ~run ~abort =
   let t = b.b_pool in
   if idx < 0 || idx >= t.n then invalid_arg "Shard_pool: bad shard index";
   if Atomic.get t.stopped then Error Stopped
-  else if t.n = 1 then submit t idx ~run ~abort
   else
     match Domain.DLS.get current_ctx with
     | Some c when c.c_pool == t && c.c_idx = idx ->
@@ -734,102 +727,57 @@ let batch_post b oid meth args =
 
 (* --- batched ingestion ------------------------------------------------------ *)
 
-let ingest ?flush_max ?(wait = false) ?trace t events =
-  match events with
-  | [] -> Ok ()
-  | _ ->
-    let trace = match trace with Some tr -> tr | None -> Obs.Trace.current () in
-    if Atomic.get t.stopped then Error Stopped
-    else if t.n = 1 then begin
-      (* inline engine: the single shard's system ingests the whole batch
-         synchronously, under the same containment frame as [submit] *)
-      let sh = t.shards.(0) in
-      let ingest () = System.ingest (system_exn sh) events in
-      let r = if trace = 0 then ingest () else Obs.Trace.with_trace trace ingest in
-      (match r with Ok _ -> () | Error e -> note_failure t sh e);
-      ignore (Atomic.fetch_and_add sh.processed 1);
-      match r with
-      (* a rolled-back batch is no more applied here than on N shards *)
-      | Error _ when wait -> Error (Degraded 0)
-      | _ -> Ok ()
-    end
-    else begin
-      (* partition by owning shard, preserving per-shard event order, then
-         hand each destination ONE job that ingests its whole sub-batch: the
-         shard side amortizes the transaction + route-coalescing scope, and
-         the posting side ships at most one message per destination *)
-      let groups = Array.make t.n [] in
-      List.iter
-        (fun ((oid, _, _) as ev) ->
-          let idx = shard_of t oid in
-          groups.(idx) <- ev :: groups.(idx))
-        events;
-      let b = batch ?flush_max t in
-      let err = ref None in
-      let note e = if !err = None then err := Some e in
-      let ivs = ref [] in
-      Array.iteri
-        (fun idx rev ->
-          match rev with
-          | [] -> ()
-          | rev ->
-            let sub = List.rev rev in
-            let res =
-              if not wait then
-                batch_submit ~trace b idx ~abort:None ~run:(fun sys ->
-                    match System.ingest sys sub with
-                    | Ok _ -> ()
-                    (* re-raise so the job boundary records the shard
-                       failure: the sub-batch transaction already rolled
-                       back *)
-                    | Error e -> raise e)
-              else begin
-                (* synchronous sub-batch: the waiter is released from the
-                   shard's next durability point when the pool seals on
-                   idle, from the job itself otherwise.  The ivar is
-                   first-fill-wins, so filling again on a submit error or
-                   an abort is safe. *)
-                let iv = Ivar.create () in
-                ivs := iv :: !ivs;
-                let r =
-                  batch_submit ~trace b idx
-                    ~run:(fun sys ->
-                      let r = System.ingest sys sub in
-                      let fin sealed =
-                        Ivar.fill iv
-                          (match r with
-                          | Ok _ -> sealed
-                          | Error _ -> Error (Degraded idx))
-                      in
-                      if not (defer_durable t idx fin) then fin (Ok ());
-                      match r with Ok _ -> () | Error e -> raise e)
-                    ~abort:(Some (fun e -> Ivar.fill iv (Error e)))
-                in
-                (* a rejected submit may drop the job without running its
-                   abort (backpressure shed): release this waiter here *)
-                (match r with Error e -> Ivar.fill iv (Error e) | Ok () -> ());
-                r
-              end
+let ingest ?(wait = false) ?trace t events =
+  let trace = match trace with Some tr -> tr | None -> Obs.Trace.current () in
+  (* partition by owning shard, preserving per-shard event order, then hand
+     each destination ONE job that ingests its whole sub-batch: the shard
+     side amortizes the transaction + route-coalescing scope, and the
+     posting side ships at most one message per destination *)
+  let groups = Array.make t.n [] in
+  List.iter
+    (fun ((oid, _, _) as ev) ->
+      let idx = shard_of t oid in
+      groups.(idx) <- ev :: groups.(idx))
+    events;
+  let err = ref None in
+  let note e = if !err = None then err := Some e in
+  let ivs = ref [] in
+  Array.iteri
+    (fun idx rev ->
+      if rev <> [] then begin
+        let sub = List.rev rev in
+        (* a waiting sub-batch is released from the shard's next durability
+           point when the pool seals on idle, from the job itself otherwise.
+           The ivar is first-fill-wins, so an abort or a dead-letter replay
+           after the job filled it changes nothing. *)
+        let iv = if wait then Some (Ivar.create ()) else None in
+        let run sys =
+          let r = System.ingest sys sub in
+          (match iv with
+          | Some iv ->
+            let fin sealed =
+              Ivar.fill iv
+                (match r with Ok _ -> sealed | Error _ -> Error (Degraded idx))
             in
-            (match res with Ok () -> () | Error e -> note e))
-        groups;
-      (match flush b with
-      | Ok () -> ()
-      | Error e ->
-        (* a flush rejection may have dropped buffered jobs without their
-           abort callbacks: make sure no waiter is left parked *)
-        List.iter (fun iv -> Ivar.fill iv (Error e)) !ivs;
-        note e);
-      List.iter
-        (fun iv -> match Ivar.read iv with Ok () -> () | Error e -> note e)
-        !ivs;
-      match !err with None -> Ok () | Some e -> Error e
-    end
+            if not (defer_durable t idx fin) then fin (Ok ())
+          | None -> ());
+          (* re-raise so the job boundary records the shard failure: the
+             sub-batch transaction already rolled back *)
+          match r with Ok _ -> () | Error e -> raise e
+        in
+        let abort = Option.map (fun iv e -> Ivar.fill iv (Error e)) iv in
+        match submit ~trace t idx ~run ~abort with
+        | Ok () -> Option.iter (fun iv -> ivs := iv :: !ivs) iv
+        | Error e -> note e
+      end)
+    groups;
+  List.iter
+    (fun iv -> match Ivar.read iv with Ok () -> () | Error e -> note e)
+    !ivs;
+  match !err with None -> Ok () | Some e -> Error e
 
 let kill t idx =
   if idx < 0 || idx >= t.n then invalid_arg "Shard_pool: bad shard index";
-  if t.n = 1 then
-    invalid_arg "Shard_pool.kill: a 1-shard pool runs inline on the caller";
   post_on t idx (fun _ -> raise Shard_kill)
 
 (* --- quiescence ------------------------------------------------------------ *)
@@ -863,7 +811,7 @@ let drain (t : t) =
     end
   in
   let rec go () =
-    if t.n > 1 then ignore (scatter t ~post:barrier (fun _ _ -> ()));
+    ignore (scatter t ~post:barrier (fun _ _ -> ()));
     if not (quiet ()) then begin
       (try Unix.sleepf 0.0002 with Unix.Unix_error _ -> ());
       go ()
@@ -1321,33 +1269,25 @@ let create ?on_failure ?on_idle ?(failure_log_limit = 128)
       zombies_lock = Mutex.create ();
     }
   in
-  if n = 1 then begin
-    let sys = init t 0 in
-    Db.configure_shard (System.db sys) ~index:0 ~of_:1;
-    t.shards.(0).system <- Some sys;
-    Atomic.set t.shards.(0).alive true
-  end
-  else begin
-    let readies = Array.init n (fun _ -> Ivar.create ()) in
-    Array.iteri (fun idx sh -> spawn_worker t sh (Some readies.(idx))) t.shards;
-    let first_error =
-      Array.fold_left
-        (fun acc iv ->
-          match (acc, Ivar.read iv) with
-          | None, Error e -> Some e
-          | acc, _ -> acc)
-        None readies
-    in
-    (match first_error with
-    | None -> ()
-    | Some e ->
-      (* tear down whatever did start, then surface the init failure *)
-      stop t;
-      raise e);
-    match supervision with
-    | Some sup -> t.supervisor <- Some (Domain.spawn (fun () -> supervise t sup))
-    | None -> ()
-  end;
+  let readies = Array.init n (fun _ -> Ivar.create ()) in
+  Array.iteri (fun idx sh -> spawn_worker t sh (Some readies.(idx))) t.shards;
+  let first_error =
+    Array.fold_left
+      (fun acc iv ->
+        match (acc, Ivar.read iv) with
+        | None, Error e -> Some e
+        | acc, _ -> acc)
+      None readies
+  in
+  (match first_error with
+  | None -> ()
+  | Some e ->
+    (* tear down whatever did start, then surface the init failure *)
+    stop t;
+    raise e);
+  (match supervision with
+  | Some sup -> t.supervisor <- Some (Domain.spawn (fun () -> supervise t sup))
+  | None -> ());
   t
 
 let system t idx =

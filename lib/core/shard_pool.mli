@@ -29,9 +29,10 @@
     {e inside} a firing are still governed by each rule's
     {!Error_policy} exactly as in the single-domain engine.)
 
-    A pool created with [shards:1] spawns no domain, no queue and no
-    supervisor: jobs execute directly on the caller, making it semantically
-    and performance-wise the single-threaded engine.
+    Every shard count runs this one model: a [shards:1] pool has one worker
+    domain, one mailbox and (when asked) a supervisor, exactly like [N]
+    shards, so durability, supervision and the queue counters mean the same
+    thing at every size.
 
     {2 Lifecycle and typed errors}
 
@@ -162,9 +163,6 @@ type stats = {
           [enqueued / mpsc_pushes] measures cross-shard message
           coalescing. *)
 }
-(** At [shards:1] jobs run synchronously on the caller and only
-    [shard_processed]/[shard_failed] are maintained — the queue counters
-    ([enqueued], [completed], …) stay 0, as there is no queue. *)
 
 val create :
   ?on_failure:(shard:int -> exn -> unit) ->
@@ -193,15 +191,13 @@ val create :
     between two idle points shares one seal (and one fsync).  The hook
     must not post jobs; exceptions it raises are recorded as shard
     failures and the worker keeps running, and the [~wait:true] ingests
-    parked on that seal get [Error (Degraded shard)].  Ignored at [shards:1] (inline
-    execution has no mailbox, so the caller owns its durability points).
+    parked on that seal get [Error (Degraded shard)].
 
     [failure_log_limit] (default 128) bounds the pool-wide failure ring;
     [dead_letter_limit] (default 256) the dead-letter ring (oldest evicted
     first); [inbox_capacity] (default 4096) each shard's mailbox;
     [backpressure] (default [Block {max_wait_ms = 1000}]) the overflow
-    policy; [supervision] (default none) enables the watchdog — ignored at
-    [shards:1], which runs inline. *)
+    policy; [supervision] (default none) enables the watchdog. *)
 
 val shard_count : t -> int
 
@@ -232,8 +228,7 @@ val each : ?timeout_ms:int -> t -> (int -> System.t -> 'a) -> ('a list, exn) res
     deadline for the whole call, not one per shard: shards still silent
     when it passes answer [Timed_out i], and their jobs may still run
     later.  Called from inside a shard job, that shard's own job runs
-    inline (after the others are posted).  At [shards:1] it runs inline
-    on the caller. *)
+    inline (after the others are posted). *)
 
 val run_on : ?timeout_ms:int -> t -> int -> (System.t -> 'a) -> ('a, exn) result
 (** Run a job on a shard and wait for its result (used for object creation,
@@ -269,10 +264,9 @@ val batch_post :
     accepted); errors surface at flush time through {!flush}'s result and
     each job's waiter.  Per-destination order is preserved; ordering
     {e across} destinations follows flush order, as with interleaved
-    {!post}s racing distinct mailboxes.  On a 1-shard pool, or posting from
-    the destination shard itself, this degrades to the inline {!post} path
-    (never buffered — buffering behind the running job would deadlock a
-    synchronous waiter). *)
+    {!post}s racing distinct mailboxes.  Posting from the destination shard
+    itself degrades to the inline {!post} path (never buffered — buffering
+    behind the running job would deadlock a synchronous waiter). *)
 
 val batch_post_on : batch -> int -> (System.t -> unit) -> (unit, error) result
 (** {!post_on} through the batch; same buffering contract as
@@ -287,7 +281,6 @@ val flush : batch -> (unit, error) result
     batch is reusable after a flush. *)
 
 val ingest :
-  ?flush_max:int ->
   ?wait:bool ->
   ?trace:int ->
   t ->
@@ -302,9 +295,7 @@ val ingest :
     [Ok ()] means every sub-batch was accepted; {!drain} to await
     execution.  A failing sub-batch rolls back on its shard (the
     {!System.ingest} transaction) and is contained as a shard failure;
-    other shards' sub-batches are unaffected.  At [shards:1] the batch is
-    ingested inline on the caller, and a rolled-back batch answers
-    [~wait:true] with [Error (Degraded 0)] just as on N shards.
+    other shards' sub-batches are unaffected.
 
     [~wait:true] blocks until every sub-batch has {e executed}: [Ok ()]
     then means applied, and a failed sub-batch surfaces as
@@ -330,15 +321,14 @@ val drain : t -> unit
     backlogs, restart dead-letters).  Each round sends a barrier to every
     live shard at once and waits for all of them, then checks that no
     job spawned meanwhile (a cross-shard cascade) is still in flight;
-    rounds repeat until none is.  Degraded shards are skipped.  A no-op
-    at [shards:1], where jobs run synchronously on the caller. *)
+    rounds repeat until none is.  Degraded shards are skipped. *)
 
 val kill : t -> int -> (unit, error) result
 (** Chaos injection: post a job that dies mid-batch, simulating the shard
     domain crashing.  The worker loop unwinds exactly like a crash — the
     in-flight message stays claimed for the supervisor to dead-letter, the
     rest of the batch is replayed.  Without supervision the shard stays
-    dead (the documented seed behaviour).  [invalid_arg] at [shards:1]. *)
+    dead (the documented seed behaviour). *)
 
 val reinstate : t -> int -> unit
 (** Ask the supervisor to clear a degraded shard's restart budget and

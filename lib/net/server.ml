@@ -67,8 +67,6 @@ type t = {
   mutable s_accept : Thread.t option;
   mutable s_next_conn : int;
   mutable s_next_sub : int;
-  s_engine_mu : Mutex.t;  (* serializes pool access when shards run inline *)
-  s_inline : bool;
   mutable s_accepted : int;
   s_frames_in : int Atomic.t;
   s_frames_out : int Atomic.t;
@@ -92,16 +90,6 @@ let action_seq = Atomic.make 0
 
 let rec retry_eintr f =
   try f () with Unix.Unix_error (Unix.EINTR, _, _) -> retry_eintr f
-
-(* A 1-shard pool runs jobs inline on the calling thread, so concurrent
-   connection threads would race the engine; serialize them.  Multi-shard
-   pools take submissions through domain-safe mailboxes. *)
-let with_engine t f =
-  if t.s_inline then begin
-    Mutex.lock t.s_engine_mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.s_engine_mu) f
-  end
-  else f ()
 
 (* --- stats ----------------------------------------------------------------- *)
 
@@ -374,16 +362,13 @@ let handle_send_many t conn ~trace ~events =
     let n = List.length batch in
     (* the frame's trace rides on the shard jobs: wrapping this blocking
        wait in [with_trace] would lend it to every thread of the domain *)
-    let result =
-      with_engine t (fun () -> Shard_pool.ingest ~wait:true ~trace t.s_pool batch)
-    in
-    (match result with
+    match Shard_pool.ingest ~wait:true ~trace t.s_pool batch with
     | Ok () ->
       ignore (Atomic.fetch_and_add t.s_events n);
       Obs.Metrics.add st_events n;
       enqueue_control t conn (Frame.Ack { count = n })
     | Error e ->
-      enqueue_control t conn (pool_error_frame (Shard_pool.Shard_error e)))
+      enqueue_control t conn (pool_error_frame (Shard_pool.Shard_error e))
 
 let handle_subscribe t conn ~name ~classes ~expr =
   match Events.Codec.decode expr with
@@ -416,14 +401,14 @@ let handle_subscribe t conn ~name ~classes ~expr =
           conn.c_id sub_id
       in
       let rule_name = if name = "" then action else action ^ ":" ^ name in
-      let register () =
+      let registered =
         Shard_pool.each t.s_pool (fun _i sys ->
             System.register_action sys action (fun _db inst ->
                 push_notify t conn sub_id (Events.Codec.encode_instance inst));
             System.create_rule sys ~name:rule_name ~monitor_classes:classes
               ~event ~condition:"true" ~action ())
       in
-      match with_engine t (fun () -> register ()) with
+      match registered with
       | Ok rules ->
         Mutex.lock conn.c_mu;
         conn.c_subs <-
@@ -434,12 +419,11 @@ let handle_subscribe t conn ~name ~classes ~expr =
       | Error exn ->
         (* roll back the shards that did register before the failure *)
         ignore
-          (with_engine t (fun () ->
-               Shard_pool.each t.s_pool (fun _i sys ->
-                   (match System.find_rule sys rule_name with
-                   | Some oid -> System.delete_rule sys oid
-                   | None -> ());
-                   System.unregister_action sys action)));
+          (Shard_pool.each t.s_pool (fun _i sys ->
+               (match System.find_rule sys rule_name with
+               | Some oid -> System.delete_rule sys oid
+               | None -> ());
+               System.unregister_action sys action));
         enqueue_control t conn (pool_error_frame exn)
     end
 
@@ -448,12 +432,11 @@ let handle_subscribe t conn ~name ~classes ~expr =
 let delete_sub t sub =
   (* best effort: the pool may already be stopped or degraded *)
   ignore
-    (with_engine t (fun () ->
-         Shard_pool.each t.s_pool (fun i sys ->
-             (match List.nth_opt sub.sub_rules i with
-             | Some oid -> ( try System.delete_rule sys oid with _ -> ())
-             | None -> ());
-             System.unregister_action sys sub.sub_action)))
+    (Shard_pool.each t.s_pool (fun i sys ->
+         (match List.nth_opt sub.sub_rules i with
+         | Some oid -> ( try System.delete_rule sys oid with _ -> ())
+         | None -> ());
+         System.unregister_action sys sub.sub_action))
 
 let handle_unsubscribe t conn ~sub_id =
   Mutex.lock conn.c_mu;
@@ -481,7 +464,7 @@ let handle_query t conn ~cls ~pred =
   | exception Oodb.Errors.Parse_error m ->
     enqueue_control t conn (Frame.Err { code = Frame.err_request; msg = m })
   | p -> (
-    let select () =
+    let selected =
       Shard_pool.each t.s_pool (fun _i sys ->
           let db = System.db sys in
           Oodb.Query.select db cls p
@@ -492,7 +475,7 @@ let handle_query t conn ~cls ~pred =
                  in
                  (Oodb.Oid.to_int oid, Oodb.Db.class_of db oid, attrs)))
     in
-    match with_engine t (fun () -> select ()) with
+    match selected with
     | Ok per_shard ->
       let rows = List.concat per_shard in
       let total = List.length rows in
@@ -539,7 +522,7 @@ let handle_frame t conn = function
   | Frame.Unsubscribe { sub_id } -> handle_unsubscribe t conn ~sub_id
   | Frame.Query { cls; pred } -> handle_query t conn ~cls ~pred
   | Frame.Drain ->
-    with_engine t (fun () -> Shard_pool.drain t.s_pool);
+    Shard_pool.drain t.s_pool;
     enqueue_control t conn Frame.Drain_done
   | Frame.Stats_req -> enqueue_control t conn (Frame.Stats { text = render_stats t })
   | Frame.Ping { token } -> enqueue_control t conn (Frame.Pong { token })
@@ -704,8 +687,6 @@ let create ?(host = "127.0.0.1") ?(port = 0) ?(backlog = 64)
       s_accept = None;
       s_next_conn = 0;
       s_next_sub = 0;
-      s_engine_mu = Mutex.create ();
-      s_inline = Shard_pool.shard_count pool = 1;
       s_accepted = 0;
       s_frames_in = Atomic.make 0;
       s_frames_out = Atomic.make 0;

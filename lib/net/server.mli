@@ -47,9 +47,8 @@
     is exact: [produced = enqueued + shed + parked] at quiescence —
     CI gates on it.
 
-    A pool with one shard executes inline on the calling thread, so the
-    server serializes engine access behind a mutex in that configuration;
-    multi-shard pools take concurrent submissions lock-free.
+    Connection threads submit to the pool concurrently through its
+    domain-safe mailboxes, whatever its shard count.
 
     Everything is observable: [net.connections], [net.frames_in/out],
     [net.bytes_in/out], [net.events], [net.notifications], [net.shed]

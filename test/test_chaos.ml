@@ -108,9 +108,9 @@ let test_kill_mid_batch () =
 
 (* --- batch replay: jobs queued behind the kill run on the successor ------ *)
 
-let test_kill_replays_backlog () =
+let test_kill_replays_backlog ~shards () =
   let pool =
-    Shard_pool.create ~shards:2 ~supervision:tight_supervision
+    Shard_pool.create ~shards ~supervision:tight_supervision
       ~init:(fun _ _ -> System.create (employee_db ()))
       ()
   in
@@ -476,7 +476,9 @@ let suite =
     test "kill mid-batch: acked commits survive via WAL recovery"
       test_kill_mid_batch;
     test "kill mid-batch: backlog replays in order on the successor"
-      test_kill_replays_backlog;
+      (test_kill_replays_backlog ~shards:2);
+    test "shards=1: kill mid-batch: backlog replays in order"
+      (test_kill_replays_backlog ~shards:1);
     test "wedged shard detected and replaced" test_wedged_shard_replaced;
     test "restart budget exhausts to degraded; reinstate recovers"
       test_restart_budget_degrades;

@@ -492,12 +492,12 @@ let test_flush_backpressure_accounting () =
 
 (* A durable ingest is answered by its seal: when the idle hook that seals
    raises, the ingest parked on it fails, and the next one, sealed, is
-   acknowledged. *)
-let test_failed_seal_fails_waiter () =
+   acknowledged — at every shard count. *)
+let test_failed_seal_fails_waiter ~shards () =
   let armed = Atomic.make true in
   let marker = Value.Float 1. in
   let pool =
-    Shard_pool.create ~shards:2
+    Shard_pool.create ~shards
       ~on_idle:(fun _ sys ->
         let db = System.db sys in
         let applied =
@@ -544,5 +544,8 @@ let suite =
     test "cross-shard ingest parity" test_cross_shard_ingest_parity;
     test "cross-shard flush coalesces mailbox pushes" test_mpsc_push_coalescing;
     test "shed flush accounts every job" test_flush_backpressure_accounting;
-    test "failed seal fails its durable ingest" test_failed_seal_fails_waiter;
+    test "failed seal fails its durable ingest"
+      (test_failed_seal_fails_waiter ~shards:2);
+    test "shards=1: failed seal fails its durable ingest"
+      (test_failed_seal_fails_waiter ~shards:1);
   ]
