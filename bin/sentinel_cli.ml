@@ -388,13 +388,23 @@ let cmd_trace txns out =
       (List.length chosen) path
   | None -> print_endline json
 
+(* Remove a directory of plain files and the directory itself. *)
+let remove_dir dir =
+  Array.iter
+    (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+    (try Sys.readdir dir with Sys_error _ -> [||]);
+  try Sys.rmdir dir with Sys_error _ -> ()
+
 (* Domain-parallel execution: run the payroll send workload through an
    OID-sharded pool and report per-shard activity.  The pool runs
    supervised at every shard count: --kill demonstrates a mid-batch crash
    being detected and restarted, and --status renders the per-shard
-   supervision table. *)
-let cmd_shards shards objects ops status kill =
-  if shards < 1 then failwith "need at least one shard";
+   supervision table.  Each shard journals to its own WAL in a fresh
+   temporary directory (removed at exit), and [init] replays that log
+   before attaching it, so a restarted shard gets its objects back.  The
+   command exits 1 when any send failed. *)
+let run_shards dir shards objects ops status kill =
+  let wal_path i = Filename.concat dir (Printf.sprintf "shard%d.wal" i) in
   let fired = Array.init shards (fun _ -> Atomic.make 0) in
   let supervision =
     { Sentinel.Shard_pool.default_supervision with heartbeat_interval_ms = 2 }
@@ -406,11 +416,16 @@ let cmd_shards shards objects ops status kill =
         Workloads.Payroll.install db;
         let sys = System.create db in
         System.register_action sys "count" (fun _ _ -> Atomic.incr fired.(i));
+        (* the rule is code, re-created on every start rather than logged *)
         ignore
           (System.create_rule sys ~name:"salary-watch"
              ~monitor_classes:[ Workloads.Payroll.employee_class ]
              ~event:(Expr.eom ~cls:Workloads.Payroll.employee_class "set_salary")
              ~condition:"true" ~action:"count" ());
+        (* the objects come back from the shard's own log; the kill is a
+           domain's death, not the machine's, so flushed batches suffice *)
+        ignore (Oodb.Wal.replay db (wal_path i));
+        ignore (System.attach_wal ~sync:false sys (wal_path i));
         sys)
       ()
   in
@@ -472,6 +487,9 @@ let cmd_shards shards objects ops status kill =
   let dt = (Obs.Clock.now_ns () -. t0) /. 1e9 in
   let st = Sentinel.Shard_pool.stats pool in
   let parked = Sentinel.Shard_pool.dead_letter_count pool in
+  for i = 0 to shards - 1 do
+    ignore (Sentinel.Shard_pool.run_on pool i System.detach_wal)
+  done;
   Sentinel.Shard_pool.stop pool;
   Printf.printf
     "%d send(s) over %d object(s) across %d shard(s): %.0f ev/s, %d \
@@ -506,6 +524,20 @@ let cmd_shards shards objects ops status kill =
       st.Sentinel.Shard_pool.discarded st.Sentinel.Shard_pool.shed
       st.Sentinel.Shard_pool.dead_lettered parked
       st.Sentinel.Shard_pool.timeouts
+  end;
+  Array.fold_left ( + ) 0 st.Sentinel.Shard_pool.shard_failed
+
+let cmd_shards shards objects ops status kill =
+  if shards < 1 then failwith "need at least one shard";
+  let dir = Filename.temp_dir "sentinel-shards" "" in
+  let failed =
+    Fun.protect
+      ~finally:(fun () -> remove_dir dir)
+      (fun () -> run_shards dir shards objects ops status kill)
+  in
+  if failed > 0 then begin
+    Printf.printf "%d send(s) failed\n" failed;
+    exit 1
   end
 
 (* Batched ingestion: drive the stock-market tick feed through the

@@ -494,6 +494,17 @@ let run_job t sh sys ~trace run =
 
 (* --- submission and backpressure ------------------------------------------ *)
 
+(* A job counts as enqueued before it is in the inbox: counted after, it
+   could run and complete first, and [drain] would see its parent's share
+   of the count as done while the parent still runs. *)
+let try_push_counted (t : t) sh msg k =
+  ignore (Atomic.fetch_and_add t.enqueued k);
+  Mpsc.try_push sh.inbox ~capacity:t.capacity msg
+  || begin
+       ignore (Atomic.fetch_and_add t.enqueued (-k));
+       false
+     end
+
 (* Admit a job vector to [sh]'s inbox: the whole vector is admitted or
    rejected atomically as one message (one CAS, one wakeup), and the
    backpressure policies account all [k] jobs — capacity is charged in
@@ -502,10 +513,7 @@ let run_job t sh sys ~trace run =
 let accept t sh js =
   let k = List.length js in
   let msg = Jobs js in
-  if Mpsc.try_push sh.inbox ~capacity:t.capacity msg then begin
-    ignore (Atomic.fetch_and_add t.enqueued k);
-    Ok ()
-  end
+  if try_push_counted t sh msg k then Ok ()
   else
     match t.policy with
     | Shed_newest ->
@@ -530,10 +538,7 @@ let accept t sh js =
         | _ -> ());
         if Atomic.get t.stopped then Error Stopped
         else if get_state sh = `Degraded then Error (Degraded sh.idx)
-        else if Mpsc.try_push sh.inbox ~capacity:t.capacity msg then begin
-          ignore (Atomic.fetch_and_add t.enqueued k);
-          Ok ()
-        end
+        else if try_push_counted t sh msg k then Ok ()
         else if Obs.Clock.now_ns () >= deadline then begin
           ignore (Atomic.fetch_and_add t.shed k);
           Obs.Metrics.add st_shed k;
@@ -791,8 +796,12 @@ let kill t idx =
    completed + discarded >= enqueued really means quiet.  Degraded shards are
    skipped (their backlog was discarded when they degraded). *)
 let drain (t : t) =
+  (* the finished counts are read before [enqueued]: a job enqueues its
+     children before it completes, so a completion seen here brings its
+     children into the count read after it *)
   let quiet () =
-    Atomic.get t.completed + Atomic.get t.discarded >= Atomic.get t.enqueued
+    let finished = Atomic.get t.completed + Atomic.get t.discarded in
+    finished >= Atomic.get t.enqueued
   in
   let self = self_index t in
   (* the barrier bypasses the bounded-inbox capacity: it is pool-internal
@@ -805,8 +814,8 @@ let drain (t : t) =
     if i = self then Ok (run (system_exn sh))
     else if get_state sh = `Degraded then Error (Degraded i)
     else begin
-      Mpsc.push sh.inbox (Jobs [ { run; trace = 0; abort } ]);
       ignore (Atomic.fetch_and_add t.enqueued 1);
+      Mpsc.push sh.inbox (Jobs [ { run; trace = 0; abort } ]);
       Ok ()
     end
   in
@@ -875,11 +884,7 @@ let replay_dead_letters t =
            Dead_letter policy would park a rejected replay a second time —
            plain bounded push, back to the ring exactly once on overflow *)
         if get_state sh = `Degraded then back ()
-        else if Mpsc.try_push sh.inbox ~capacity:t.capacity (Jobs [ j ])
-        then begin
-          ignore (Atomic.fetch_and_add t.enqueued 1);
-          incr replayed
-        end
+        else if try_push_counted t sh (Jobs [ j ]) 1 then incr replayed
         else back ())
       entries;
     !replayed

@@ -18,12 +18,15 @@ let unescape t = Oodb.Persist.unescape_sub t 0 (String.length t)
 
 (* Values inside a codec field: their Persist encodings, escaped again so
    the field separators never appear raw. *)
-let add_params buf params =
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char buf ';';
-      add_escaped buf (Oodb.Persist.encode_value v))
-    params
+let add_param buf v = Oodb.Persist.add_value_escaped name_chars buf v
+
+let rec add_params buf = function
+  | [] -> ()
+  | [ v ] -> add_param buf v
+  | v :: rest ->
+    add_param buf v;
+    Buffer.add_char buf ';';
+    add_params buf rest
 
 (* Written straight into one buffer: a rule's creation encodes its event,
    so this sits on the rule-management path. *)
@@ -62,7 +65,7 @@ let rec add_expr buf (e : Expr.t) =
         chr '~';
         str (Expr.cmp_to_string f.pf_cmp);
         chr '~';
-        add_escaped buf (Oodb.Persist.encode_value f.pf_value))
+        add_param buf f.pf_value)
       p.p_filters;
     chr ')'
   | And (a, b) -> args "and" [ a; b ]
@@ -317,65 +320,131 @@ let decode_occurrence input =
 
      ev ::= ev(<oid>,<meth>,<param>;<param>...)                              *)
 
-let encode_event ((oid, meth, params) : Oid.t * string * Oodb.Value.t list) =
-  let buf = Buffer.create 48 in
+let add_event buf ((oid, meth, params) : Oid.t * string * Oodb.Value.t list)
+    =
   Buffer.add_string buf "ev(";
   Oodb.Persist.add_int buf (Oid.to_int oid);
   Buffer.add_char buf ',';
   add_escaped buf meth;
   Buffer.add_char buf ',';
   add_params buf params;
-  Buffer.add_char buf ')';
+  Buffer.add_char buf ')'
+
+let encode_event e =
+  let buf = Buffer.create 48 in
+  add_event buf e;
   Buffer.contents buf
 
 (* The first [c] in [s] from [pos] on, or [stop] when none comes before
    it. *)
-let find s c pos stop =
+let[@inline] find s c pos stop =
   let i = ref pos in
   while !i < stop && String.unsafe_get s !i <> c do
     incr i
   done;
   !i
 
-let event_error input msg =
-  raise (Errors.Parse_error (Printf.sprintf "event %S: %s" input msg))
+let event_error s pos len msg =
+  raise
+    (Errors.Parse_error
+       (Printf.sprintf "event %S: %s" (String.sub s pos len) msg))
 
-let event_field input pos len =
-  try Oodb.Persist.unescape_sub input pos len
-  with Errors.Parse_error msg -> event_error input msg
+(* Whether the [stop - pos] bytes of [s] from [pos] begin with [p]. *)
+let[@inline] has_prefix s pos stop p =
+  let n = String.length p in
+  stop - pos >= n
+  &&
+  let k = ref 0 in
+  while !k < n && String.unsafe_get s (pos + !k) = String.unsafe_get p !k do
+    incr k
+  done;
+  !k = n
 
-let rec event_params input pos stop acc =
-  let sep = find input ';' pos stop in
-  let acc =
-    Oodb.Persist.decode_value (event_field input pos (sep - pos)) :: acc
+(* [f:] escaped, the prefix of every float parameter. *)
+let float_tag = Oodb.Persist.escape_with name_chars "f:"
+
+(* A float in the shape the encoder writes is read in place; any other
+   parameter is unescaped and decoded as a value. *)
+let event_param s ev_pos ev_len pos stop =
+  let fast =
+    if has_prefix s pos stop float_tag then
+      let at = pos + String.length float_tag in
+      Oodb.Persist.hex_float_sub ~escaped:true s at (stop - at)
+    else None
   in
-  if sep = stop then List.rev acc else event_params input (sep + 1) stop acc
+  match fast with
+  | Some f -> Oodb.Value.Float f
+  | None ->
+    let text =
+      try Oodb.Persist.unescape_sub s pos (stop - pos)
+      with Errors.Parse_error msg -> event_error s ev_pos ev_len msg
+    in
+    Oodb.Persist.decode_value text
 
-(* One pass over the string: the field separators are found in place and
-   each field is decoded from its slice. *)
-let decode_event input =
-  let n = String.length input in
+(* In order, each decoded before the next: an event has few parameters.
+   [sep] is the end of the first, the first [;] or [stop]. *)
+let rec event_params s ev_pos ev_len pos sep stop =
+  let v = event_param s ev_pos ev_len pos sep in
+  if sep = stop then [ v ]
+  else
+    v
+    :: event_params s ev_pos ev_len (sep + 1) (find s ';' (sep + 1) stop) stop
+
+(* The first [;] from [pos] on (or [stop]), or -1 when a [,] comes
+   anywhere before [stop]: the parameters must not hold a fourth field. *)
+let first_param_end s pos stop =
+  let i = ref pos and semi = ref stop in
+  while !i < stop do
+    match String.unsafe_get s !i with
+    | ',' ->
+      semi := -1;
+      i := stop
+    | ';' when !semi = stop ->
+      semi := !i;
+      incr i
+    | _ -> incr i
+  done;
+  !semi
+
+(* One pass over the slice: the field separators are found in place and
+   each field is decoded where it lies. *)
+let decode_event_sub ?(meth = "") s pos len =
   if
     not
-      (n >= 4 && String.starts_with ~prefix:"ev(" input && input.[n - 1] = ')')
-  then event_error input "missing ev(...) frame";
-  let stop = n - 1 in
-  let c1 = find input ',' 3 stop in
-  let c2 = if c1 = stop then stop else find input ',' (c1 + 1) stop in
-  if c2 = stop || find input ',' (c2 + 1) stop <> stop then
-    event_error input "expected 3 fields";
+      (len >= 4
+      && has_prefix s pos (pos + len) "ev("
+      && String.unsafe_get s (pos + len - 1) = ')')
+  then event_error s pos len "missing ev(...) frame";
+  let stop = pos + len - 1 in
+  let c1 = find s ',' (pos + 3) stop in
+  let c2 = if c1 = stop then stop else find s ',' (c1 + 1) stop in
+  let sep = if c2 = stop then -1 else first_param_end s (c2 + 1) stop in
+  if sep < 0 then event_error s pos len "expected 3 fields";
   let oid =
-    match Oodb.Persist.int_sub input 3 (c1 - 3) with
+    match Oodb.Persist.int_sub s (pos + 3) (c1 - pos - 3) with
     | Some v -> Oid.of_int v
     | None ->
-      event_error input
-        (Printf.sprintf "bad oid: %S" (String.sub input 3 (c1 - 3)))
+      event_error s pos len
+        (Printf.sprintf "bad oid: %S" (String.sub s (pos + 3) (c1 - pos - 3)))
   in
-  let meth = event_field input (c1 + 1) (c2 - c1 - 1) in
+  let meth =
+    let m_pos = c1 + 1 and m_len = c2 - c1 - 1 in
+    (* the previous event's name, when these bytes spell it unescaped *)
+    if
+      m_len = String.length meth
+      && has_prefix s m_pos c2 meth
+      && find s '%' m_pos c2 = c2
+    then meth
+    else
+      try Oodb.Persist.unescape_sub s m_pos m_len
+      with Errors.Parse_error msg -> event_error s pos len msg
+  in
   let params =
-    if c2 + 1 = stop then [] else event_params input (c2 + 1) stop []
+    if c2 + 1 = stop then [] else event_params s pos len (c2 + 1) sep stop
   in
   (oid, meth, params)
+
+let decode_event s = decode_event_sub s 0 (String.length s)
 
 let encode_instance (i : Detector.instance) =
   let buf = Buffer.create 128 in

@@ -35,7 +35,32 @@ val decode_instance : string -> Detector.instance
     this module instead of introducing a second serializer.
     [decode_event (encode_event e)] is structurally equal to [e]. *)
 
+val add_event : Buffer.t -> Oodb.Oid.t * string * Oodb.Value.t list -> unit
+(** Append the event's encoding
+    [ev(<oid>,<escaped method>,<escaped value>;<escaped value>...)] to the
+    buffer in one pass.  A float parameter is written escaped as it goes
+    ({!Oodb.Persist.add_value_escaped}); nothing else is allocated. *)
+
 val encode_event : Oodb.Oid.t * string * Oodb.Value.t list -> string
+(** {!add_event} into a fresh string. *)
+
+val decode_event_sub :
+  ?meth:string ->
+  string ->
+  int ->
+  int ->
+  Oodb.Oid.t * string * Oodb.Value.t list
+(** [decode_event_sub ?meth s pos len] decodes the event encoded in the
+    [len] bytes of [s] from [pos], in place.  When the method field spells
+    [meth] with no escape, the result shares the [meth] string: a frame
+    decoder passes the previous event's method, so a batch of one method
+    allocates its name once.  A float parameter in the shape {!add_event}
+    writes is read straight into its bits
+    ({!Oodb.Persist.hex_float_sub}); any other parameter is unescaped and
+    decoded by {!Oodb.Persist.decode_value}, so the inputs accepted and
+    the errors raised do not depend on the shortcut.
+    @raise Oodb.Errors.Parse_error on malformed input. *)
 
 val decode_event : string -> Oodb.Oid.t * string * Oodb.Value.t list
-(** @raise Oodb.Errors.Parse_error on malformed input. *)
+(** {!decode_event_sub} over the whole string.
+    @raise Oodb.Errors.Parse_error on malformed input. *)

@@ -35,9 +35,11 @@ let err_degraded = 4
 let err_overload = 5
 let err_stopped = 6
 
+let send_many_tag = 0x02
+
 let tag = function
   | Hello _ -> 0x01
-  | Send_many _ -> 0x02
+  | Send_many _ -> send_many_tag
   | Subscribe _ -> 0x03
   | Unsubscribe _ -> 0x04
   | Query _ -> 0x05
@@ -118,12 +120,64 @@ let get_str cur =
   cur.pos <- cur.pos + len;
   s
 
-let get_list cur get =
+(* cheap bomb guard: every element costs at least one length byte *)
+let get_count cur =
   let n = get_u32 cur in
-  (* cheap bomb guard: every element costs at least one length byte *)
   if n > cur.stop - cur.pos then
     frame_error "list count %d exceeds remaining payload" n;
+  n
+
+let get_list cur get =
+  let n = get_count cur in
   List.init n (fun _ -> get cur)
+
+(* --- Send_many events in place ------------------------------------------------
+
+   A Send_many payload is the trace, a u32 count and that many
+   u32-length-prefixed event encodings.  The decoder checks every length
+   once ([get_events]) and leaves the events where they lie; [fold_events]
+   then walks them without copying. *)
+
+type events = { ev_data : string; ev_first : int; ev_count : int }
+
+let get_events cur =
+  let count = get_count cur in
+  let first = cur.pos in
+  for _ = 1 to count do
+    let len = get_u32 cur in
+    need cur len;
+    cur.pos <- cur.pos + len
+  done;
+  { ev_data = cur.data; ev_first = first; ev_count = count }
+
+let event_count ev = ev.ev_count
+
+let fold_events f ev acc =
+  let pos = ref ev.ev_first and acc = ref acc in
+  for _ = 1 to ev.ev_count do
+    let len =
+      Int32.to_int (String.get_int32_be ev.ev_data !pos) land 0xFFFF_FFFF
+    in
+    acc := f ev.ev_data (!pos + 4) len !acc;
+    pos := !pos + 4 + len
+  done;
+  !acc
+
+let event_strings ev =
+  List.rev
+    (fold_events (fun data pos len acc -> String.sub data pos len :: acc) ev [])
+
+let decode_events ev =
+  let meth = ref "" in
+  List.rev
+    (fold_events
+       (fun data pos len acc ->
+         let ((_, m, _) as e) =
+           Events.Codec.decode_event_sub ~meth:!meth data pos len
+         in
+         meth := m;
+         e :: acc)
+       ev [])
 
 (* --- message payloads ------------------------------------------------------ *)
 
@@ -189,16 +243,13 @@ let encode_payload buf = function
     put_u32 buf code;
     put_str buf msg
 
+(* Every message but Send_many, which [decode_body] leaves in place. *)
 let decode_payload tag_v cur =
   match tag_v with
   | 0x01 ->
     let version = get_u32 cur in
     let client = get_str cur in
     Hello { version; client }
-  | 0x02 ->
-    let trace = get_i64 cur in
-    let events = get_list cur get_str in
-    Send_many { trace; events }
   | 0x03 ->
     let name = get_str cur in
     let classes = get_list cur get_str in
@@ -248,25 +299,69 @@ let decode_payload tag_v cur =
 
 (* --- framing --------------------------------------------------------------- *)
 
-(* Header and payload share one buffer sized up front; the CRC is taken
-   over the payload where it lies. *)
-let encode ?(version = version) msg =
-  let len = payload_size msg in
-  if len > max_payload then
-    frame_error "payload %d bytes exceeds max %d" len max_payload;
-  let b = Bytes.create (header_len + len) in
-  encode_payload { b; at = header_len } msg;
+(* Fill in the header of a frame whose [len]-byte payload is already in
+   place after it; the CRC is taken over the payload where it lies. *)
+let seal b ~version ~tag len =
   let crc =
     Oodb.Storage.Crc32.update 0 (Bytes.unsafe_to_string b) header_len len
   in
   Bytes.blit_string magic 0 b 0 4;
   Bytes.set b 4 (Char.chr (version land 0xFF));
-  Bytes.set b 5 (Char.chr (tag msg));
+  Bytes.set b 5 (Char.chr tag);
   Bytes.set b 6 '\000';
   Bytes.set b 7 '\000';
   Bytes.set_int32_be b 8 (Int32.of_int len);
   Bytes.set_int32_be b 12 (Int32.of_int crc);
   Bytes.unsafe_to_string b
+
+let check_size len =
+  if len > max_payload then
+    frame_error "payload %d bytes exceeds max %d" len max_payload
+
+(* Header and payload share one buffer sized up front. *)
+let encode ?(version = version) msg =
+  let len = payload_size msg in
+  check_size len;
+  let b = Bytes.create (header_len + len) in
+  encode_payload { b; at = header_len } msg;
+  seal b ~version ~tag:(tag msg) len
+
+(* --- Send_many built in place ---------------------------------------------- *)
+
+type batch = {
+  pending : Buffer.t;  (* the length-prefixed encodings *)
+  scratch : Buffer.t;
+  mutable count : int;
+}
+
+let batch () =
+  { pending = Buffer.create 1024; scratch = Buffer.create 64; count = 0 }
+
+(* The event is encoded apart first, so that a failure leaves the batch as
+   it was and its length is known before its prefix is written. *)
+let batch_add t e =
+  Buffer.clear t.scratch;
+  Events.Codec.add_event t.scratch e;
+  Buffer.add_int32_be t.pending (Int32.of_int (Buffer.length t.scratch));
+  Buffer.add_buffer t.pending t.scratch;
+  t.count <- t.count + 1
+
+let batch_length t = t.count
+
+let batch_clear t =
+  Buffer.clear t.pending;
+  t.count <- 0
+
+let batch_frame t ~trace =
+  let n = Buffer.length t.pending in
+  let len = 12 + n in
+  check_size len;
+  let b = Bytes.create (header_len + len) in
+  let w = { b; at = header_len } in
+  put_i64 w trace;
+  put_u32 w t.count;
+  Buffer.blit t.pending 0 b w.at n;
+  seal b ~version ~tag:send_many_tag len
 
 (* Parse the 16-byte header; returns (version, tag, payload_len, crc). *)
 let parse_header h =
@@ -283,23 +378,37 @@ let parse_header h =
   if v <> version then raise (Version_mismatch v);
   (v, tag_v, len, crc)
 
+type request = Message of t | Events of { trace : int; events : events }
+
 (* The payload is the [first, stop) slice of [data]: checked and decoded in
    place. *)
 let decode_body tag_v data first stop crc =
   if Oodb.Storage.Crc32.update 0 data first (stop - first) <> crc then
     frame_error "CRC mismatch";
   let cur = { data; pos = first; first; stop } in
-  let msg = decode_payload tag_v cur in
+  let req =
+    if tag_v = send_many_tag then
+      let trace = get_i64 cur in
+      Events { trace; events = get_events cur }
+    else Message (decode_payload tag_v cur)
+  in
   if cur.pos <> stop then
     frame_error "trailing payload bytes (%d unread)" (stop - cur.pos);
-  msg
+  req
 
-let decode s =
+let message = function
+  | Message m -> m
+  | Events { trace; events } ->
+    Send_many { trace; events = event_strings events }
+
+let decode_request s =
   let _, tag_v, len, crc = parse_header s in
   if String.length s <> header_len + len then
     frame_error "frame length %d, header promises %d" (String.length s)
       (header_len + len);
   decode_body tag_v s header_len (String.length s) crc
+
+let decode s = message (decode_request s)
 
 (* --- blocking stream I/O --------------------------------------------------- *)
 
@@ -331,8 +440,12 @@ let read_exact fd len =
   done;
   Bytes.unsafe_to_string b
 
-let read_fd fd =
+let read_request fd =
   let header = read_exact fd header_len in
   let _, tag_v, len, crc = parse_header header in
   let payload = if len = 0 then "" else read_exact fd len in
   (decode_body tag_v payload 0 len crc, header_len + len)
+
+let read_fd fd =
+  let req, n = read_request fd in
+  (message req, n)

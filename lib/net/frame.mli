@@ -50,7 +50,9 @@ type t =
   | Send_many of { trace : int; events : string list }
       (** streaming ingestion: {!Events.Codec.encode_event}-encoded send
           requests, executed as one partitioned batch ingest.  [trace]
-          carries the client's cascade id ([0] = none). *)
+          carries the client's cascade id ([0] = none).  The client and
+          server build and read this frame in place ({!batch},
+          {!request}); the list form is for tools and tests. *)
   | Subscribe of { name : string; classes : string list; expr : string }
       (** register a rule ({!Events.Codec.encode}-encoded event
           expression over [classes]) whose firings stream back as
@@ -109,6 +111,61 @@ val decode : string -> t
     @raise Frame_error on any malformation, including trailing garbage
     @raise Version_mismatch before payload inspection *)
 
+(** {1 Send_many in place}
+
+    The ingest path never materialises {!Send_many}'s [string list].  A
+    client appends each event, with its length prefix, to one {!batch}
+    and frames the batch with one blit and one CRC; a server reads a
+    {!request}, whose events stay in the received payload until
+    {!decode_events} decodes them straight from it.  The bytes are those
+    of {!encode} on [Send_many] of the same events, and {!decode} of a
+    [Send_many] walks the events with the same walker, so both paths
+    accept and reject exactly the same frames. *)
+
+type batch
+(** A [Send_many] under construction: the events' length-prefixed
+    encodings, back to back. *)
+
+val batch : unit -> batch
+
+val batch_add : batch -> Oodb.Oid.t * string * Oodb.Value.t list -> unit
+(** Append one event ({!Events.Codec.add_event}) with its length prefix.
+    An exception while encoding leaves the batch unchanged. *)
+
+val batch_length : batch -> int
+(** Events appended since the last {!batch_clear}. *)
+
+val batch_clear : batch -> unit
+
+val batch_frame : batch -> trace:int -> string
+(** The whole [Send_many] frame of the batch's events: byte-equal to
+    [encode (Send_many { trace; events })] where [events] are the
+    {!Events.Codec.encode_event} strings of the events appended, in
+    order.  The batch is left as it was.
+    @raise Frame_error when the payload would exceed {!max_payload} *)
+
+type events
+(** The events of a received [Send_many], still in its payload, every
+    length prefix already checked. *)
+
+val event_count : events -> int
+
+val decode_events : events -> (Oodb.Oid.t * string * Oodb.Value.t list) list
+(** Decode every event, in order, with {!Events.Codec.decode_event_sub}
+    on its slice of the payload; an event whose method name equals the
+    previous one's shares that string.  The whole list is decoded before
+    it is returned, so a caller that ingests the result ingests all or
+    nothing of a batch.
+    @raise Oodb.Errors.Parse_error on the first malformed event *)
+
+type request =
+  | Message of t  (** any message but [Send_many] *)
+  | Events of { trace : int; events : events }  (** a [Send_many] *)
+
+val decode_request : string -> request
+(** {!decode}, with a [Send_many]'s events left in place.  Raises what
+    {!decode} raises on the same bytes. *)
+
 (** {1 Blocking stream I/O}
 
     Frame-at-a-time reads and writes over a connected socket; both
@@ -124,3 +181,7 @@ val read_fd : Unix.file_descr -> t * int
 (** Read one frame; returns it with the bytes consumed.
     @raise End_of_file when the peer closed between frames (or mid-frame)
     @raise Frame_error / Version_mismatch as {!decode} *)
+
+val read_request : Unix.file_descr -> request * int
+(** {!read_fd} with a [Send_many]'s events left in place
+    ({!decode_request}): what a server reads. *)

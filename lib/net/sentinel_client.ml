@@ -35,8 +35,7 @@ type t = {
   mutable fd : Unix.file_descr option;
   mutable receiver : Thread.t option;
   mutable shards : int;
-  mutable buffer : string list;  (* encoded events, newest first *)
-  mutable buffered : int;
+  batch : Frame.batch;  (* events sent since the last flush, encoded *)
   mutable subs : sub list;
   mutable next_sub : int;
   mutable closed : bool;
@@ -245,8 +244,7 @@ let connect ?(client_name = "sentinel-client") ?(buffer_max = 64)
       fd = None;
       receiver = None;
       shards = 0;
-      buffer = [];
-      buffered = 0;
+      batch = Frame.batch ();
       subs = [];
       next_sub = 0;
       closed = false;
@@ -264,30 +262,28 @@ let connect ?(client_name = "sentinel-client") ?(buffer_max = 64)
 let shards t = locked t.mu (fun () -> t.shards)
 
 let do_flush t =
-  let events =
+  let frame =
     locked t.mu (fun () ->
-        let evs = List.rev t.buffer in
-        t.buffer <- [];
-        t.buffered <- 0;
-        evs)
+        if Frame.batch_length t.batch = 0 then None
+        else begin
+          let trace =
+            let cur = Obs.Trace.current () in
+            if cur <> 0 then cur else Obs.Trace.fresh_id ()
+          in
+          (* framed once, so a retry resends the same bytes; the batch is
+             emptied whether or not framing succeeds *)
+          Fun.protect
+            ~finally:(fun () -> Frame.batch_clear t.batch)
+            (fun () -> Some (Frame.batch_frame t.batch ~trace))
+        end)
   in
-  if events = [] then 0
-  else begin
-    let trace =
-      let cur = Obs.Trace.current () in
-      if cur <> 0 then cur else Obs.Trace.fresh_id ()
-    in
-    (* encoded once, so a retry resends the same bytes and the events are
-       not kept alive through the wait for the ack *)
-    let frame = Frame.encode (Frame.Send_many { trace; events }) in
+  match frame with
+  | None -> 0
+  | Some frame -> (
     let reply =
-      try
-        rpc t (fun () ->
-            write_encoded t frame;
-            wait_reply t)
-      with e ->
-        (* connection gone for good: the batch is lost, restore nothing *)
-        raise e
+      rpc t (fun () ->
+          write_encoded t frame;
+          wait_reply t)
     in
     match reply with
     | Frame.Ack { count } ->
@@ -296,19 +292,21 @@ let do_flush t =
           t.n_flushes <- t.n_flushes + 1);
       count
     | Frame.Err { code; msg } -> raise_err code msg
-    | _ -> raise (Server_error { code = Frame.err_frame; msg = "bad ack reply" })
-  end
+    | _ ->
+      raise (Server_error { code = Frame.err_frame; msg = "bad ack reply" }))
 
+(* The hot path: one lock, no closure, the event encoded straight into the
+   connection's batch. *)
 let send t event =
-  (* encoded before taking the lock: the receiver thread needs it too *)
-  let encoded = Events.Codec.encode_event event in
-  let full =
-    locked t.mu (fun () ->
-        t.buffer <- encoded :: t.buffer;
-        t.buffered <- t.buffered + 1;
-        t.buffered >= t.buffer_max)
-  in
-  if full then ignore (do_flush t)
+  Mutex.lock t.mu;
+  match Frame.batch_add t.batch event with
+  | exception e ->
+    Mutex.unlock t.mu;
+    raise e
+  | () ->
+    let full = Frame.batch_length t.batch >= t.buffer_max in
+    Mutex.unlock t.mu;
+    if full then ignore (do_flush t)
 
 let flush t = do_flush t
 
@@ -417,7 +415,7 @@ let stats t =
       {
         events_sent = t.n_sent;
         flushes = t.n_flushes;
-        events_buffered = t.buffered;
+        events_buffered = Frame.batch_length t.batch;
         notifications = t.n_notifications;
         reconnects = t.n_reconnects;
       })

@@ -7,10 +7,12 @@
 
     {2 Buffered sends}
 
-    {!send} appends to a client-side buffer; {!flush} ships the whole
-    buffer as one [Send_many] frame — one partitioned cross-shard ingest,
+    {!send} encodes the event straight into the connection's
+    {!Frame.batch}, under one lock; {!flush} frames the whole batch as one
+    [Send_many] — one blit, one CRC; one partitioned cross-shard ingest,
     one group-commit fsync per destination shard — and waits for the
-    [Ack].  The buffer auto-flushes at [buffer_max] events.  Each flush
+    [Ack].  A retry after a reconnect resends the same bytes.  The buffer
+    auto-flushes at [buffer_max] events.  Each flush
     stamps the frame with the current {!Obs.Trace} cascade id (or a fresh
     one, {!Obs.Trace.fresh_id}) so a wire hop stays in one trace.
 

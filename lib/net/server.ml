@@ -354,12 +354,14 @@ let pool_error_frame = function
     Frame.Err { code; msg = Shard_pool.error_to_string e }
   | exn -> Frame.Err { code = Frame.err_degraded; msg = Printexc.to_string exn }
 
-let handle_send_many t conn ~trace ~events =
-  match List.map Events.Codec.decode_event events with
+(* The events are decoded straight from the received payload, all of them
+   before any is ingested: a malformed event rejects the whole batch. *)
+let handle_send_many t conn ~trace events =
+  match Frame.decode_events events with
   | exception Oodb.Errors.Parse_error m ->
     enqueue_control t conn (Frame.Err { code = Frame.err_request; msg = m })
   | batch ->
-    let n = List.length batch in
+    let n = Frame.event_count events in
     (* the frame's trace rides on the shard jobs: wrapping this blocking
        wait in [with_trace] would lend it to every thread of the domain *)
     match Shard_pool.ingest ~wait:true ~trace t.s_pool batch with
@@ -516,7 +518,6 @@ let handle_frame t conn = function
       enqueue_control t conn
         (Frame.Hello_ack
            { version = Frame.version; shards = Shard_pool.shard_count t.s_pool })
-  | Frame.Send_many { trace; events } -> handle_send_many t conn ~trace ~events
   | Frame.Subscribe { name; classes; expr } ->
     handle_subscribe t conn ~name ~classes ~expr
   | Frame.Unsubscribe { sub_id } -> handle_unsubscribe t conn ~sub_id
@@ -526,6 +527,9 @@ let handle_frame t conn = function
     enqueue_control t conn Frame.Drain_done
   | Frame.Stats_req -> enqueue_control t conn (Frame.Stats { text = render_stats t })
   | Frame.Ping { token } -> enqueue_control t conn (Frame.Pong { token })
+  | Frame.Send_many _ ->
+    (* [Frame.read_request] hands a Send_many over as [Events] *)
+    assert false
   | Frame.Hello_ack _ | Frame.Ack _ | Frame.Sub_ack _ | Frame.Notify _
   | Frame.Rows _ | Frame.Query_done _ | Frame.Drain_done | Frame.Stats _
   | Frame.Pong _ | Frame.Err _ ->
@@ -535,6 +539,10 @@ let handle_frame t conn = function
            code = Frame.err_request;
            msg = "server-to-client message on ingress";
          })
+
+let handle_request t conn = function
+  | Frame.Events { trace; events } -> handle_send_many t conn ~trace events
+  | Frame.Message m -> handle_frame t conn m
 
 (* --- connection lifecycle -------------------------------------------------- *)
 
@@ -564,7 +572,7 @@ let cleanup t conn =
 
 let reader_loop t conn =
   let rec loop () =
-    match Frame.read_fd conn.c_fd with
+    match Frame.read_request conn.c_fd with
     | exception End_of_file -> ()
     | exception Frame.Version_mismatch v ->
       (* reply before closing so the client can tell this from a drop *)
@@ -581,12 +589,12 @@ let reader_loop t conn =
       enqueue_control t conn (Frame.Err { code = Frame.err_frame; msg = m });
       flush_control conn ~timeout_s:1.0
     | exception Unix.Unix_error _ -> ()
-    | frame, nbytes ->
+    | req, nbytes ->
       Atomic.incr t.s_frames_in;
       ignore (Atomic.fetch_and_add t.s_bytes_in nbytes);
       Obs.Metrics.hit st_frames_in;
       Obs.Metrics.add st_bytes_in nbytes;
-      handle_frame t conn frame;
+      handle_request t conn req;
       loop ()
   in
   (try loop () with _ -> ());

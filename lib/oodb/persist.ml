@@ -4,11 +4,17 @@ let magic = "SENTINELDB 1"
 
 (* --- escapes and integer tokens ------------------------------------------ *)
 
-(* A set of bytes that travel unescaped, as a 256-byte membership table. *)
-type charset = string
+(* A set of bytes that travel unescaped, as a 256-byte membership table;
+   [hex_safe] when it holds every lowercase hex digit, so that a float's
+   fraction digits need no escaping. *)
+type charset = { table : string; hex_safe : bool }
 
 let charset safe =
-  String.init 256 (fun i -> if safe (Char.chr i) then '\001' else '\000')
+  {
+    table =
+      String.init 256 (fun i -> if safe (Char.chr i) then '\001' else '\000');
+    hex_safe = String.for_all safe "0123456789abcdef";
+  }
 
 let value_chars =
   charset (function
@@ -17,7 +23,8 @@ let value_chars =
       true
     | _ -> false)
 
-let is_safe set c = String.unsafe_get set (Char.code c) <> '\000'
+let[@inline] is_safe set c =
+  String.unsafe_get set.table (Char.code c) <> '\000'
 
 let all_safe set s =
   let i = ref 0 in
@@ -28,19 +35,25 @@ let all_safe set s =
 
 let hex_upper = "0123456789ABCDEF"
 
+let add_escape buf c =
+  let code = Char.code c in
+  Buffer.add_char buf '%';
+  Buffer.add_char buf (String.unsafe_get hex_upper (code lsr 4));
+  Buffer.add_char buf (String.unsafe_get hex_upper (code land 0xF))
+
+(* Runs of safe bytes are copied whole, each other byte written as its
+   escape. *)
 let add_escaped set buf s =
-  if all_safe set s then Buffer.add_string buf s
-  else
-    for i = 0 to String.length s - 1 do
-      let c = s.[i] in
-      if is_safe set c then Buffer.add_char buf c
-      else begin
-        let code = Char.code c in
-        Buffer.add_char buf '%';
-        Buffer.add_char buf hex_upper.[code lsr 4];
-        Buffer.add_char buf hex_upper.[code land 0xF]
-      end
-    done
+  let n = String.length s and run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if not (is_safe set c) then begin
+      if i > !run then Buffer.add_substring buf s !run (i - !run);
+      add_escape buf c;
+      run := i + 1
+    end
+  done;
+  if n > !run then Buffer.add_substring buf s !run (n - !run)
 
 let escape_with set s =
   if all_safe set s then s
@@ -132,11 +145,206 @@ let add_int buf n =
      s:<escaped>          %XX-escaping for bytes outside the safe set
      l(<enc>,<enc>,...)   recursive; l() is the empty list                  *)
 
-(* What [Printf "%h"] prints: hexadecimal, as many digits as needed. *)
-external hexstring_of_float : float -> int -> char -> string
-  = "caml_hexstring_of_float"
+(* --- hex floats --------------------------------------------------------
+   What [Printf "%h"] prints, built from the float's bits: an optional [-],
+   then [nan], [infinity], or [0x<lead>[.<fraction>]p<sign><exponent>]
+   with the fraction's trailing zeros dropped — [0x1] and the biased
+   exponent less 1023 for a normal number, [0x0] and [p-1022] for a
+   subnormal, [0x0p+0] for zero. *)
 
-let hex_float f = hexstring_of_float f (-6) '-'
+let hex_lower = "0123456789abcdef"
+
+(* The two hex digits of every byte value, at [2 * byte]. *)
+let hex_pairs =
+  String.init 512 (fun i ->
+      hex_lower.[if i land 1 = 0 then i lsr 5 else (i lsr 1) land 0xF])
+
+let every_char = charset (fun _ -> true)
+
+(* Store [c] at [i] of [b], or its [%XX] escape when it is outside the set;
+   the next index. *)
+let[@inline] put set b i c =
+  if is_safe set c then begin
+    Bytes.unsafe_set b i c;
+    i + 1
+  end
+  else begin
+    let code = Char.code c in
+    Bytes.unsafe_set b i '%';
+    Bytes.unsafe_set b (i + 1) (String.unsafe_get hex_upper (code lsr 4));
+    Bytes.unsafe_set b (i + 2) (String.unsafe_get hex_upper (code land 0xF));
+    i + 3
+  end
+
+let[@inline] digit n = Char.unsafe_chr (48 + n)
+
+(* [f:] and the longest float, [-0x1.<13 digits>p-1022], every byte
+   escaped. *)
+let max_float_value = 3 * (2 + 24)
+
+(* The fraction's 13 hex digits without their trailing zeros, written from
+   [i] of [b], two per step from the pair table; returns where they end.
+   [frac] is not 0. *)
+let write_fraction b i frac =
+  let v = frac lsl 4 in
+  for k = 0 to 6 do
+    let byte = (v lsr (48 - (8 * k))) land 0xFF in
+    Bytes.unsafe_set b (i + (2 * k)) (String.unsafe_get hex_pairs (2 * byte));
+    Bytes.unsafe_set b
+      (i + (2 * k) + 1)
+      (String.unsafe_get hex_pairs ((2 * byte) + 1))
+  done;
+  let j = ref (i + 14) in
+  while Bytes.unsafe_get b (!j - 1) = '0' do
+    decr j
+  done;
+  !j
+
+(* Write the float's [%h] text into [b] from [i], escaped with [set], which
+   holds every hex digit; returns where it ends.  Built in a small byte
+   array so that it reaches a buffer in one copy. *)
+let write_hex_float set b i f =
+  let bits = Int64.bits_of_float f in
+  let i = if Int64.compare bits 0L < 0 then put set b i '-' else i in
+  let biased = Int64.to_int (Int64.shift_right_logical bits 52) land 0x7FF in
+  let frac = Int64.to_int bits land 0xF_FFFF_FFFF_FFFF in
+  if biased = 0x7FF then begin
+    let word = if frac = 0 then "infinity" else "nan" in
+    let i = ref i in
+    String.iter (fun c -> i := put set b !i c) word;
+    !i
+  end
+  else begin
+    let i = put set b i '0' in
+    let i = put set b i 'x' in
+    let i = put set b i (if biased = 0 then '0' else '1') in
+    let i =
+      if frac <> 0 then write_fraction b (put set b i '.') frac else i
+    in
+    let e =
+      if biased > 0 then biased - 1023 else if frac = 0 then 0 else -1022
+    in
+    let i = put set b i 'p' in
+    let i = put set b i (if e < 0 then '-' else '+') in
+    let e = abs e in
+    let i = if e >= 1000 then put set b i (digit (e / 1000)) else i in
+    let i = if e >= 100 then put set b i (digit (e / 100 mod 10)) else i in
+    let i = if e >= 10 then put set b i (digit (e / 10 mod 10)) else i in
+    put set b i (digit (e mod 10))
+  end
+
+let add_hex_float buf f =
+  let b = Bytes.create max_float_value in
+  Buffer.add_subbytes buf b 0 (write_hex_float every_char b 0 f)
+
+(* [f:] and the float, escaped with [set], in one copy. *)
+let add_float_value set buf f =
+  let b = Bytes.create max_float_value in
+  let i = put set b 0 'f' in
+  let i = put set b i ':' in
+  Buffer.add_subbytes buf b 0 (write_hex_float set b i f)
+
+exception Not_canonical
+
+(* Each byte's value as a lowercase hex digit, 16 when it is not one: a
+   table, because hex digits mix [0-9] and [a-f] at random and a branch on
+   the range would be mispredicted every few digits. *)
+let hex_values =
+  String.init 256 (fun i ->
+      match Char.chr i with
+      | '0' .. '9' -> Char.chr (i - 48)
+      | 'a' .. 'f' -> Char.chr (i - 87)
+      | _ -> '\016')
+
+(* The lowercase hex digit at [i] of [s], or 16 (also past [stop]). *)
+let[@inline] hex_at s stop i =
+  if i >= stop then 16
+  else
+    Char.code (String.unsafe_get hex_values (Char.code (String.unsafe_get s i)))
+
+(* The shape [add_hex_float] writes, read back into its bits; with
+   [~escaped] the exponent's [+] may also arrive as [%2B].  Raises
+   [Not_canonical] on any other text, and on a value the shape does not
+   give exactly (a subnormal written with a normal's lead, an exponent out
+   of range): [float_of_string] decides those. *)
+let canonical_float ~escaped s pos len =
+  let stop = pos + len in
+  let neg = len > 0 && String.unsafe_get s pos = '-' in
+  let i = if neg then pos + 1 else pos in
+  (* the shortest is [0x0p+0] *)
+  if
+    stop - i < 6
+    || String.unsafe_get s i <> '0'
+    || String.unsafe_get s (i + 1) <> 'x'
+  then raise_notrace Not_canonical;
+  let lead = String.unsafe_get s (i + 2) in
+  if lead <> '0' && lead <> '1' then raise_notrace Not_canonical;
+  let i = ref (i + 3) and frac = ref 0 and digits = ref 0 in
+  if String.unsafe_get s !i = '.' then begin
+    incr i;
+    let first = !i in
+    let d = ref (hex_at s stop !i) in
+    while !d < 16 do
+      frac := (!frac lsl 4) lor !d;
+      incr i;
+      d := hex_at s stop !i
+    done;
+    digits := !i - first;
+    if !digits = 0 || !digits > 13 then raise_notrace Not_canonical
+  end;
+  (* [p], the sign, then 1 to 4 decimal digits to the end *)
+  if stop - !i < 3 || String.unsafe_get s !i <> 'p' then
+    raise_notrace Not_canonical;
+  let neg_exp =
+    match String.unsafe_get s (!i + 1) with
+    | '+' ->
+      i := !i + 2;
+      false
+    | '-' ->
+      i := !i + 2;
+      true
+    | '%'
+      when escaped
+           && stop - !i >= 5
+           && String.unsafe_get s (!i + 2) = '2'
+           && String.unsafe_get s (!i + 3) = 'B' ->
+      i := !i + 4;
+      false
+    | _ -> raise_notrace Not_canonical
+  in
+  if stop - !i > 4 then raise_notrace Not_canonical;
+  let e = ref 0 in
+  while !i < stop do
+    (match String.unsafe_get s !i with
+    | '0' .. '9' as c -> e := (!e * 10) + Char.code c - 48
+    | _ -> raise_notrace Not_canonical);
+    incr i
+  done;
+  let e = if neg_exp then - !e else !e in
+  let frac = !frac lsl (4 * (13 - !digits)) in
+  let biased =
+    if lead = '1' && e >= -1022 && e <= 1023 then e + 1023
+    else if lead = '0' && ((frac = 0 && e = 0) || (frac <> 0 && e = -1022))
+    then 0
+    else raise_notrace Not_canonical
+  in
+  let bits =
+    Int64.logor (Int64.shift_left (Int64.of_int biased) 52) (Int64.of_int frac)
+  in
+  Int64.float_of_bits (if neg then Int64.logor bits Int64.min_int else bits)
+
+let hex_float_sub ~escaped s pos len =
+  match canonical_float ~escaped s pos len with
+  | f -> Some f
+  | exception Not_canonical -> None
+
+(* Canonical tokens are read in place; anything else — decimal, uppercase,
+   a [+] sign, too many digits, [nan], [infinity] — goes to
+   [float_of_string], which defines what a float token accepts. *)
+let float_sub s pos len =
+  match hex_float_sub ~escaped:false s pos len with
+  | Some _ as f -> f
+  | None -> float_of_string_opt (String.sub s pos len)
 
 let rec add_value buf = function
   | Value.Null -> Buffer.add_char buf 'n'
@@ -145,9 +353,7 @@ let rec add_value buf = function
   | Value.Int n ->
     Buffer.add_string buf "i:";
     add_int buf n
-  | Value.Float f ->
-    Buffer.add_string buf "f:";
-    Buffer.add_string buf (hex_float f)
+  | Value.Float f -> add_float_value every_char buf f
   | Value.Str s ->
     Buffer.add_string buf "s:";
     add_escaped value_chars buf s
@@ -163,12 +369,16 @@ let rec add_value buf = function
       vs;
     Buffer.add_char buf ')'
 
-let encode_value = function
-  | Value.Float f -> "f:" ^ hex_float f
-  | v ->
-    let buf = Buffer.create 16 in
-    add_value buf v;
-    Buffer.contents buf
+let encode_value v =
+  let buf = Buffer.create 24 in
+  add_value buf v;
+  Buffer.contents buf
+
+(* A float — the hot case on the wire — is written escaped as it goes;
+   anything else is encoded, then escaped. *)
+let add_value_escaped set buf = function
+  | Value.Float f when set.hex_safe -> add_float_value set buf f
+  | v -> add_escaped set buf (encode_value v)
 
 exception Bad of string
 
@@ -183,10 +393,15 @@ let expect c ch =
 (* Advance to the next [,] or [)] (or the end); returns where the token
    started. *)
 let token c =
-  let start = c.pos in
-  while c.pos < String.length c.s && not (next_is c ',' || next_is c ')') do
-    c.pos <- c.pos + 1
+  let start = c.pos and i = ref c.pos in
+  while
+    !i < String.length c.s
+    &&
+    match String.unsafe_get c.s !i with ',' | ')' -> false | _ -> true
+  do
+    incr i
   done;
+  c.pos <- !i;
   start
 
 let token_text c start = String.sub c.s start (c.pos - start)
@@ -217,10 +432,10 @@ let rec value c =
   | 'f' -> (
     c.pos <- c.pos + 1;
     expect c ':';
-    let t = token_text c (token c) in
-    match float_of_string_opt t with
+    let start = token c in
+    match float_sub c.s start (c.pos - start) with
     | Some v -> Value.Float v
-    | None -> raise (Bad ("bad float " ^ t)))
+    | None -> raise (Bad ("bad float " ^ token_text c start)))
   | 's' -> (
     c.pos <- c.pos + 1;
     expect c ':';

@@ -78,7 +78,31 @@ val add_value : Buffer.t -> Value.t -> unit
 (** Append {!encode_value}'s bytes. *)
 
 val decode_value : string -> Value.t
-(** @raise Errors.Parse_error *)
+(** A float token in the shape {!add_hex_float} writes is read in place,
+    straight into its bits; any other float token (decimal, uppercase,
+    a leading [+], more than 13 fraction digits, [nan], [infinity]) goes
+    to [float_of_string], so the tokens accepted and the error messages
+    are those of [float_of_string].
+    @raise Errors.Parse_error *)
+
+(** {1 Hex floats}
+
+    Floats travel as [Printf "%h"] writes them: exact, and
+    locale-independent. *)
+
+val add_hex_float : Buffer.t -> float -> unit
+(** Append exactly what [Printf.sprintf "%h"] returns, built from the
+    float's bits with no intermediate string. *)
+
+val hex_float_sub : escaped:bool -> string -> int -> int -> float option
+(** [hex_float_sub ~escaped s pos len] reads the [len] bytes of [s] from
+    [pos] when they have the canonical shape {!add_hex_float} writes,
+    [[-]0x(0|1)[.<1-13 lowercase hex digits>]p(+|-)<1-4 digits>], and
+    name a float that shape gives exactly: a [0x1] lead with an exponent
+    in [-1022..1023], [0x0p+0], or a [0x0.] subnormal at [p-1022].  With
+    [~escaped:true] the exponent's [+] may also be written [%2B], as
+    {!add_value_escaped} writes it.  [None] for anything else; the caller
+    decides that token with [float_of_string]. *)
 
 (** {1 Escapes and integer tokens}
 
@@ -96,6 +120,11 @@ val add_escaped : charset -> Buffer.t -> string -> unit
 
 val escape_with : charset -> string -> string
 (** The escaped string; the argument itself when nothing needs escaping. *)
+
+val add_value_escaped : charset -> Buffer.t -> Value.t -> unit
+(** [add_value_escaped set buf v] appends the bytes of
+    [add_escaped set buf (encode_value v)]; a float is written escaped as
+    it goes, with no intermediate string. *)
 
 val unescape_sub : string -> int -> int -> string
 (** [unescape_sub s pos len] decodes the [%XX] escapes in the [len] bytes

@@ -38,12 +38,12 @@ let with_retries ?(attempts = 5) ?(backoff = default_backoff) f =
 (* --- CRC-32 --------------------------------------------------------------- *)
 
 module Crc32 = struct
-  (* Slicing-by-8: [table.(k * 256 + n)] is the CRC of byte [n] followed by
-     [k] zero bytes, so eight bytes fold in per step.  Built eagerly at
-     module initialisation: a lazy table raced when two domains forced it
-     at once. *)
+  (* Slicing-by-16: [table.(k * 256 + n)] is the CRC of byte [n] followed
+     by [k] zero bytes, so sixteen bytes fold in per step, through sixteen
+     independent lookups.  Built eagerly at module initialisation: a lazy
+     table raced when two domains forced it at once. *)
   let table =
-    let t = Array.make (8 * 256) 0 in
+    let t = Array.make (16 * 256) 0 in
     for n = 0 to 255 do
       let c = ref n in
       for _ = 0 to 7 do
@@ -51,7 +51,7 @@ module Crc32 = struct
       done;
       t.(n) <- !c
     done;
-    for k = 1 to 7 do
+    for k = 1 to 15 do
       for n = 0 to 255 do
         let prev = t.(((k - 1) * 256) + n) in
         t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xFF)
@@ -59,30 +59,39 @@ module Crc32 = struct
     done;
     t
 
-  let tbl k n = Array.unsafe_get table ((k * 256) + (n land 0xFF))
-  let word s i = Int32.to_int (String.get_int32_le s i) land 0xFFFF_FFFF
+  (* The four bytes of [w] (low byte first) looked up [k + 3] down to [k]
+     zero bytes ahead. *)
+  let[@inline] fold4 t k w =
+    Array.unsafe_get t (((k + 3) * 256) + (w land 0xFF))
+    lxor Array.unsafe_get t (((k + 2) * 256) + ((w lsr 8) land 0xFF))
+    lxor Array.unsafe_get t (((k + 1) * 256) + ((w lsr 16) land 0xFF))
+    lxor Array.unsafe_get t ((k * 256) + (w lsr 24))
+
+  let[@inline] low32 w = Int64.to_int w land 0xFFFF_FFFF
+  let[@inline] high32 w = Int64.to_int (Int64.shift_right_logical w 32)
 
   let update crc s pos len =
     if pos < 0 || len < 0 || pos > String.length s - len then
       invalid_arg "Crc32.update";
+    let t = table in
     let c = ref (crc lxor 0xFFFF_FFFF) in
     let i = ref pos in
     let stop = pos + len in
-    while !i + 8 <= stop do
-      let lo = !c lxor word s !i and hi = word s (!i + 4) in
+    while !i + 16 <= stop do
+      let w0 = String.get_int64_le s !i
+      and w1 = String.get_int64_le s (!i + 8) in
       c :=
-        tbl 7 lo
-        lxor tbl 6 (lo lsr 8)
-        lxor tbl 5 (lo lsr 16)
-        lxor tbl 4 (lo lsr 24)
-        lxor tbl 3 hi
-        lxor tbl 2 (hi lsr 8)
-        lxor tbl 1 (hi lsr 16)
-        lxor tbl 0 (hi lsr 24);
-      i := !i + 8
+        fold4 t 12 (!c lxor low32 w0)
+        lxor fold4 t 8 (high32 w0)
+        lxor fold4 t 4 (low32 w1)
+        lxor fold4 t 0 (high32 w1);
+      i := !i + 16
     done;
     while !i < stop do
-      c := tbl 0 (!c lxor Char.code (String.unsafe_get s !i)) lxor (!c lsr 8);
+      c :=
+        Array.unsafe_get t
+          ((!c lxor Char.code (String.unsafe_get s !i)) land 0xFF)
+        lxor (!c lsr 8);
       incr i
     done;
     !c lxor 0xFFFF_FFFF

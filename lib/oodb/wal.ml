@@ -467,8 +467,11 @@ let commit_txn_raw t =
       clear_group t;
       raise e)
   | Some g ->
-    (* a group left open past its window seals before new commits join it *)
-    if t.g_txns > 0 && now_us () -. t.g_opened_us > float_of_int g.max_wait_us
+    (* a group left open for its whole window seals before new commits join
+       it; a zero window has always passed, even within one clock tick *)
+    if
+      t.g_txns > 0
+      && now_us () -. t.g_opened_us >= float_of_int g.max_wait_us
     then seal_group t;
     if t.g_txns = 0 then t.g_opened_us <- now_us ();
     append_txn t;

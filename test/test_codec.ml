@@ -394,6 +394,299 @@ let test_event_roundtrip =
          in
          Oid.to_int o' = o && m' = m && List.equal same_value ps ps'))
 
+(* --- hex floats ---------------------------------------------------------- *)
+
+let bits = Int64.bits_of_float
+let same_bits a b = Int64.equal (bits a) (bits b)
+
+(* Any 64-bit pattern, weighted toward the classes a uniform draw rarely
+   hits: subnormals and zeros, NaN payloads and infinities, and fractions
+   with long runs of trailing zero digits. *)
+let gen_float_bits =
+  let open QCheck2.Gen in
+  let with_exponent e =
+    map2
+      (fun sign frac ->
+        Int64.logor
+          (if sign then Int64.min_int else 0L)
+          (Int64.logor
+             (Int64.shift_left (Int64.of_int e) 52)
+             (Int64.logand frac 0xF_FFFF_FFFF_FFFFL)))
+      bool ui64
+  in
+  frequency
+    [
+      (6, ui64);
+      (2, with_exponent 0);
+      (2, with_exponent 0x7FF);
+      ( 2,
+        map2
+          (fun b k -> Int64.logand b (Int64.shift_left (-1L) k))
+          ui64 (int_bound 52) );
+      ( 1,
+        oneofl
+          [
+            0L;
+            Int64.min_int;
+            0x7FF0000000000000L;
+            0xFFF0000000000000L;
+            0x7FF8000000000000L;
+            1L;
+            0x000FFFFFFFFFFFFFL;
+            0x0010000000000000L;
+            0x7FEFFFFFFFFFFFFFL;
+            0x3FF0000000000000L;
+          ] );
+    ]
+  |> map Int64.float_of_bits
+
+let print_float_bits f = Printf.sprintf "%h (bits %Lx)" f (bits f)
+
+let hex_text f =
+  let b = Buffer.create 32 in
+  Persist.add_hex_float b f;
+  Buffer.contents b
+
+let test_hex_float_matches_printf =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"add_hex_float writes what %h writes"
+       ~count:20_000 ~print:print_float_bits gen_float_bits (fun f ->
+         hex_text f = Printf.sprintf "%h" f))
+
+(* Every finite float's text is canonical and reads back to its bits, with
+   the exponent's [+] raw or escaped, alone or as a value token. *)
+let test_canonical_roundtrip =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"canonical hex floats read back their bits"
+       ~count:20_000 ~print:print_float_bits gen_float_bits (fun f ->
+         let t = Printf.sprintf "%h" f in
+         let escaped =
+           String.concat "%2B" (String.split_on_char '+' t)
+         in
+         let n = String.length t in
+         let read ~escaped s =
+           Persist.hex_float_sub ~escaped s 0 (String.length s)
+         in
+         let from_value =
+           match Persist.decode_value ("f:" ^ t) with
+           | Value.Float g -> Some g
+           | _ -> None
+         in
+         if Float.is_finite f then
+           (match read ~escaped:false t with
+           | Some g -> same_bits f g
+           | None -> false)
+           && (match read ~escaped:true escaped with
+              | Some g -> same_bits f g
+              | None -> false)
+           && (escaped = t || read ~escaped:false escaped = None)
+           && (match from_value with Some g -> same_bits f g | None -> false)
+           && Persist.hex_float_sub ~escaped:false ("x" ^ t ^ "x") 1 n
+              |> Option.fold ~none:false ~some:(same_bits f)
+         else
+           (* nan and infinity are not canonical: float_of_string reads them *)
+           read ~escaped:false t = None
+           && match (from_value, float_of_string_opt t) with
+              | Some g, Some h -> same_bits g h
+              | _ -> false))
+
+(* What a float token decoded to before the in-place reader: the token's
+   [float_of_string], or the error naming it. *)
+let float_token_oracle t =
+  match float_of_string_opt t with
+  | Some f -> Ok f
+  | None -> Error (Printf.sprintf "value %S: bad float %s" ("f:" ^ t) t)
+
+let decode_float_token t =
+  match Persist.decode_value ("f:" ^ t) with
+  | Value.Float f -> Ok f
+  | v -> Error ("not a float: " ^ Persist.encode_value v)
+  | exception Errors.Parse_error m -> Error m
+
+let same_result a b =
+  match (a, b) with
+  | Ok f, Ok g -> same_bits f g
+  | Error m, Error n -> m = n
+  | _ -> false
+
+(* Tokens near the canonical shape — a canonical text with one byte
+   replaced, inserted or dropped, or drawn from the hex-float alphabet —
+   decode exactly as [float_of_string] reads them. *)
+let gen_near_float_token =
+  let open QCheck2.Gen in
+  let alphabet =
+    oneofl
+      [ '0'; '1'; '9'; 'a'; 'f'; 'A'; 'F'; 'x'; 'X'; 'p'; 'P'; '.'; '+'; '-';
+        '_'; 'n'; 'i'; 'e'; ' ' ]
+  in
+  let mutate t pos c how =
+    let n = String.length t in
+    let pos = pos mod (n + 1) in
+    match how with
+    | 0 when pos < n -> String.mapi (fun i x -> if i = pos then c else x) t
+    | 1 -> String.sub t 0 pos ^ String.make 1 c ^ String.sub t pos (n - pos)
+    | _ when pos < n ->
+      String.sub t 0 pos ^ String.sub t (pos + 1) (n - pos - 1)
+    | _ -> t
+  in
+  oneof
+    [
+      map
+        (fun (f, pos, c, how) -> mutate (Printf.sprintf "%h" f) pos c how)
+        (quad gen_float_bits (int_bound 40) alphabet (int_bound 2));
+      string_size ~gen:alphabet (int_bound 24);
+    ]
+
+let test_non_canonical_tokens =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"other float tokens decode as float_of_string"
+       ~count:5_000 ~print:(Printf.sprintf "%S") gen_near_float_token (fun t ->
+         same_result (decode_float_token t) (float_token_oracle t)))
+
+(* What an event's single parameter decoded to before the in-place reader:
+   the field unescaped, then decoded as a value. *)
+let event_param_oracle ev p =
+  match Persist.unescape_sub p 0 (String.length p) with
+  | exception Errors.Parse_error m -> Error (Printf.sprintf "event %S: %s" ev m)
+  | text -> (
+    match Persist.decode_value text with
+    | Value.Float f -> Ok f
+    | v -> Error ("not a float: " ^ Persist.encode_value v)
+    | exception Errors.Parse_error m -> Error m)
+
+let decode_event_param ev =
+  match Codec.decode_event ev with
+  | _, _, [ Value.Float f ] -> Ok f
+  | _, _, ps ->
+    Error
+      ("not one float: " ^ String.concat ";" (List.map Persist.encode_value ps))
+  | exception Errors.Parse_error m -> Error m
+
+let test_non_canonical_event_params =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"other escaped float parameters decode as before"
+       ~count:5_000
+       ~print:(fun (tag, t) -> Printf.sprintf "%S" (tag ^ t))
+       QCheck2.Gen.(
+         pair
+           (oneofl [ "f%3A"; "f%3a"; "f:" ])
+           (map
+              (fun t ->
+                String.concat "%2B" (String.split_on_char '+' t)
+                |> String.split_on_char 'P'
+                |> String.concat "%2b")
+              gen_near_float_token))
+       (fun (tag, t) ->
+         let p = tag ^ t in
+         let ev = "ev(1,m," ^ p ^ ")" in
+         same_result (decode_event_param ev) (event_param_oracle ev p)))
+
+let test_float_token_cases () =
+  let float_of = function
+    | Value.Float f -> f
+    | v -> Alcotest.failf "not a float: %s" (Persist.encode_value v)
+  in
+  List.iter
+    (fun (token, want) ->
+      Alcotest.(check bool)
+        token true
+        (same_bits want (float_of (Persist.decode_value token))))
+    [
+      ("f:1.5", 1.5);
+      ("f:0X1P+0", 1.);
+      ("f:0x1.0000000000000000p+0", 1.);
+      ("f:+0x1p+0", 1.);
+      ("f:0x1p+1024", Float.infinity);
+      ("f:0x0.8p-1022", 0x0.8p-1022);
+      ("f:0x1p-1074", 0x1p-1074);
+      ("f:-0x0p+0", -0.);
+    ];
+  (match Codec.decode_event "ev(1,m,f%3a0x1.8p%2b1)" with
+  | _, "m", [ Value.Float f ] -> Alcotest.(check (float 0.)) "escaped" 3. f
+  | _ -> Alcotest.fail "lowercase escapes: expected one float");
+  (match Codec.decode_event "ev(1,m,f%3A0x1.8p%2B1)" with
+  | _, "m", [ Value.Float f ] -> Alcotest.(check (float 0.)) "canonical" 3. f
+  | _ -> Alcotest.fail "canonical: expected one float");
+  List.iter
+    (fun token ->
+      match Persist.decode_value token with
+      | v -> Alcotest.failf "%s decoded to %s" token (Persist.encode_value v)
+      | exception Errors.Parse_error m ->
+        let t = String.sub token 2 (String.length token - 2) in
+        Alcotest.(check string)
+          token
+          (Printf.sprintf "value %S: bad float %s" token t)
+          m)
+    [ "f:0x1p"; "f:0x1.p"; "f:"; "f:0x1p%2B0"; "f:0xgp+0" ]
+
+(* --- Send_many in place ------------------------------------------------- *)
+
+(* Batches of events with every value kind, method names that need
+   escaping, and runs of one method, so the decoder's name sharing is
+   exercised. *)
+let gen_batch =
+  let open QCheck2.Gen in
+  let meth =
+    oneof
+      [
+        oneofl [ "set_price"; "tick"; "odd meth,();%" ];
+        string_size ~gen:char (int_range 1 12);
+      ]
+  in
+  list_size (int_bound 20)
+    (triple nat meth (list_size (int_bound 4) gen_value))
+
+let same_event (o, m, ps) (o', m', ps') =
+  Oid.to_int o = Oid.to_int o' && m = m' && List.equal same_value ps ps'
+
+let test_send_many_in_place =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"Send_many decoded in place = decoded per string"
+       ~count:300
+       QCheck2.Gen.(pair nat gen_batch)
+       (fun (trace, batch) ->
+         let batch = List.map (fun (o, m, ps) -> (Oid.of_int o, m, ps)) batch in
+         let frame =
+           Frame.encode
+             (Frame.Send_many
+                { trace; events = List.map Codec.encode_event batch })
+         in
+         let per_string =
+           match Frame.decode frame with
+           | Frame.Send_many { events; _ } -> List.map Codec.decode_event events
+           | _ -> []
+         in
+         let in_place =
+           match Frame.decode_request frame with
+           | Frame.Events { trace = tr; events } ->
+             tr = trace
+             && Frame.event_count events = List.length batch
+             && List.equal same_event (Frame.decode_events events) per_string
+           | Frame.Message _ -> false
+         in
+         let b = Frame.batch () in
+         List.iter (Frame.batch_add b) batch;
+         in_place
+         && List.equal same_event per_string batch
+         && Frame.batch_length b = List.length batch
+         && Frame.batch_frame b ~trace = frame))
+
+(* A batch is reusable once cleared, and framing leaves it as it was. *)
+let test_batch_reuse () =
+  let ev k = (Oid.of_int k, "set_price", [ Value.Float (float_of_int k) ]) in
+  let b = Frame.batch () in
+  List.iter (fun k -> Frame.batch_add b (ev k)) [ 1; 2; 3 ];
+  let first = Frame.batch_frame b ~trace:7 in
+  Alcotest.(check string) "framing twice" first (Frame.batch_frame b ~trace:7);
+  Frame.batch_clear b;
+  Alcotest.(check int) "cleared" 0 (Frame.batch_length b);
+  Frame.batch_add b (ev 4);
+  Alcotest.(check string)
+    "after a clear"
+    (Frame.encode
+       (Frame.Send_many { trace = 9; events = [ Codec.encode_event (ev 4) ] }))
+    (Frame.batch_frame b ~trace:9)
+
 let suite =
   [
     test "golden bytes reproduced" test_golden_bytes;
@@ -404,4 +697,11 @@ let suite =
     test "CRC-32 across domains" test_crc_across_domains;
     test_value_roundtrip;
     test_event_roundtrip;
+    test_hex_float_matches_printf;
+    test_canonical_roundtrip;
+    test_non_canonical_tokens;
+    test_non_canonical_event_params;
+    test "float token cases" test_float_token_cases;
+    test_send_many_in_place;
+    test "Send_many batch reuse" test_batch_reuse;
   ]

@@ -263,6 +263,86 @@ let test_bad_escape_is_request_error () =
           | frame, _ ->
             Alcotest.failf "expected Err, got tag 0x%02x" (Frame.tag frame)))
 
+(* A Send_many whose n-th event is malformed is rejected whole: one
+   [err_request] reply, no event of it ingested, and the connection goes
+   on serving. *)
+let test_malformed_nth_event_rejects_batch () =
+  with_server ~shards:2 (fun server pool fired _ ->
+      let oids = employee_oids pool in
+      let salaries () =
+        match
+          Shard_pool.each pool (fun _ sys ->
+              let db = System.db sys in
+              List.map
+                (fun o -> (Oid.to_int o, Oodb.Db.get db o "salary"))
+                (Oodb.Db.extent db "employee"))
+        with
+        | Ok per_shard -> List.sort compare (List.concat per_shard)
+        | Error e -> raise e
+      in
+      let total_fired () =
+        Array.fold_left (fun acc c -> acc + Atomic.get c) 0 fired
+      in
+      let before = salaries () in
+      let good k =
+        Events.Codec.encode_event
+          ( List.nth oids (k mod List.length oids),
+            "set_salary",
+            [ Value.Float (5000. +. float_of_int k) ] )
+      in
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect fd
+            (Unix.ADDR_INET
+               (Unix.inet_addr_of_string "127.0.0.1", Server.port server));
+          ignore
+            (Frame.write_fd fd
+               (Frame.Hello { version = Frame.version; client = "raw" }));
+          (match Frame.read_fd fd with
+          | Frame.Hello_ack _, _ -> ()
+          | _ -> Alcotest.fail "expected Hello_ack");
+          let n = 6 in
+          List.iter
+            (fun bad ->
+              let events =
+                List.init n (fun k ->
+                    if k = bad then "ev(1,set_salary,f%3A0x1p)" else good k)
+              in
+              ignore
+                (Frame.write_fd fd (Frame.Send_many { trace = 0; events }));
+              (* the Pong comes next: the rejected batch had one reply *)
+              ignore (Frame.write_fd fd (Frame.Ping { token = bad }));
+              (match Frame.read_fd fd with
+              | Frame.Err { code; _ }, _ ->
+                Alcotest.(check int) "err_request" Frame.err_request code
+              | frame, _ ->
+                Alcotest.failf "event %d bad: expected Err, got tag 0x%02x" bad
+                  (Frame.tag frame));
+              match Frame.read_fd fd with
+              | Frame.Pong { token }, _ ->
+                Alcotest.(check int) "pong right after the Err" bad token
+              | frame, _ ->
+                Alcotest.failf "expected Pong, got tag 0x%02x"
+                  (Frame.tag frame))
+            [ 0; 3; n - 1 ];
+          Alcotest.(check int) "nothing ingested" 0
+            (Server.stats server).Server.events_ingested;
+          Alcotest.(check int) "nothing fired" 0 (total_fired ());
+          Alcotest.(check bool) "no salary changed" true (salaries () = before);
+          ignore
+            (Frame.write_fd fd
+               (Frame.Send_many
+                  { trace = 0; events = List.init n (fun k -> good k) }));
+          match Frame.read_fd fd with
+          | Frame.Ack { count }, _ ->
+            Alcotest.(check int) "the next batch is acked" n count;
+            Alcotest.(check bool) "and fires" true
+              (eventually (fun () -> total_fired () = n))
+          | frame, _ ->
+            Alcotest.failf "expected Ack, got tag 0x%02x" (Frame.tag frame)))
+
 (* --- wire vs in-process differential --------------------------------------- *)
 
 let outcome_tag = function
@@ -728,6 +808,8 @@ let suite =
     test "in-payload version mismatch rejected" test_client_version_exception;
     test "truncated escape answered as a bad request"
       test_bad_escape_is_request_error;
+    test "a malformed n-th event rejects the whole batch"
+      test_malformed_nth_event_rejects_batch;
     test "wire ingest = in-process ingest" test_wire_differential;
     test "subscribe streams notifications" test_subscribe_notify;
     test "query streams rows" test_query_streams_rows;
