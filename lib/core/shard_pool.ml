@@ -179,28 +179,23 @@ end
    Bounding: [size] is reserved with a fetch-and-add before the push CAS, so
    the capacity is a hard bound on queued messages.  [push] (unbounded)
    exists for control messages and supervisor replays, which must never be
-   shed.  [take ~cancelled] lets a superseded consumer — a worker whose
+   shed.  [await ~cancelled] lets a superseded consumer — a worker whose
    generation the supervisor bumped while it was parked — wake and leave
    without stealing from its successor. *)
 module Mpsc = struct
   type 'a t = {
     head : 'a list Atomic.t; (* newest first *)
-    size : int Atomic.t; (* total weight of queued messages *)
-    (* weight of one message: a job vector counts as its length, so the
-       bounded capacity and depth gauges stay in *jobs* even when many jobs
-       travel in one message *)
-    weigh : 'a -> int;
+    size : int Atomic.t; (* queued messages *)
     pushes : int Atomic.t; (* successful CAS publications, monotone *)
     lock : Mutex.t;
     cond : Condition.t;
     sleeping : bool Atomic.t;
   }
 
-  let create ?(weigh = fun _ -> 1) () =
+  let create () =
     {
       head = Atomic.make [];
       size = Atomic.make 0;
-      weigh;
       pushes = Atomic.make 0;
       lock = Mutex.create ();
       cond = Condition.create ();
@@ -222,14 +217,13 @@ module Mpsc = struct
     end
 
   let push t x =
-    ignore (Atomic.fetch_and_add t.size (t.weigh x));
+    ignore (Atomic.fetch_and_add t.size 1);
     push_raw t x;
     signal t
 
   let try_push t ~capacity x =
-    let w = t.weigh x in
-    if Atomic.fetch_and_add t.size w > capacity - w then begin
-      ignore (Atomic.fetch_and_add t.size (-w));
+    if Atomic.fetch_and_add t.size 1 >= capacity then begin
+      ignore (Atomic.fetch_and_add t.size (-1));
       false
     end
     else begin
@@ -240,35 +234,28 @@ module Mpsc = struct
 
   let depth t = max 0 (Atomic.get t.size)
 
-  let weight_of t xs = List.fold_left (fun acc x -> acc + t.weigh x) 0 xs
-
-  (* consumer or supervisor: everything queued right now, without blocking *)
+  (* everything queued right now, without blocking *)
   let take_now t =
     match Atomic.exchange t.head [] with
     | [] -> []
     | xs ->
-      ignore (Atomic.fetch_and_add t.size (-weight_of t xs));
+      ignore (Atomic.fetch_and_add t.size (-List.length xs));
       List.rev xs
 
-  (* consumer only; blocks until a message is available or [cancelled ()]
-     observes true at a wake-up (then returns []) *)
-  let rec take t ~cancelled =
-    match Atomic.exchange t.head [] with
-    | [] ->
-      if cancelled () then []
-      else begin
-        Mutex.lock t.lock;
-        Atomic.set t.sleeping true;
-        (match Atomic.get t.head with
-        | [] -> if not (cancelled ()) then Condition.wait t.cond t.lock
-        | _ -> ());
-        Atomic.set t.sleeping false;
-        Mutex.unlock t.lock;
-        take t ~cancelled
-      end
-    | xs ->
-      ignore (Atomic.fetch_and_add t.size (-weight_of t xs));
-      List.rev xs
+  (* consumer only; blocks until a message is queued or [cancelled ()]
+     observes true at a wake-up.  It takes nothing: the worker claims the
+     queue under its handoff lock, so a teardown can never catch it holding
+     messages that are neither queued nor claimed. *)
+  let rec await t ~cancelled =
+    if Atomic.get t.head = [] && not (cancelled ()) then begin
+      Mutex.lock t.lock;
+      Atomic.set t.sleeping true;
+      if Atomic.get t.head = [] && not (cancelled ()) then
+        Condition.wait t.cond t.lock;
+      Atomic.set t.sleeping false;
+      Mutex.unlock t.lock;
+      await t ~cancelled
+    end
 
   (* unconditional wake for cancellation — bypasses the sleeping-flag
      fast-path check because the target may be mid-park *)
@@ -286,16 +273,7 @@ type job = {
   abort : (error -> unit) option; (* invoked when the job is discarded *)
 }
 
-(* [Jobs] is a vector of jobs (in submission order) published as one MPSC
-   message — one CAS, one wakeup.  A single submission is a vector of one;
-   a cross-shard flush carries many.  Capacity, depth and every
-   job-granular counter account the vector's length (the inbox weighs
-   messages in jobs). *)
-type msg = Stop | Jobs of job list
-
-let weigh_msg = function
-  | Stop -> 1
-  | Jobs js -> List.length js
+type msg = Stop | Job of job
 
 (* encoded shard_state for lock-free cross-domain reads *)
 let s_ready = 0
@@ -323,7 +301,6 @@ type shard = {
       (* completions parked until the next durability point (the idle
          hook), told whether it made their work durable; newest first,
          under [hand] *)
-  heartbeat : int Atomic.t; (* batches + jobs, monotone *)
   busy_since : float Atomic.t; (* Clock ns; 0. when idle *)
   restarts : int Atomic.t;
   mutable restart_times : float list; (* supervisor domain only *)
@@ -376,8 +353,7 @@ type stats = {
   shed : int;
   dead_lettered : int;
   timeouts : int;
-  mpsc_pushes : int; (* successful inbox CASes, pool-wide: a flushed job
-                        vector counts once, so batching shows up here *)
+  mpsc_pushes : int; (* successful inbox CASes, pool-wide *)
 }
 
 (* Which shard (of which pool) the current domain is executing for: lets a
@@ -424,27 +400,25 @@ let abort_job j err =
 
 (* An accepted message that will never run: dead-letter it (so an operator
    can replay after the cause clears) and surface the typed error to any
-   synchronous waiter.  The vector is unbundled — each job is discarded,
-   dead-lettered and aborted individually, so accounting and replay stay
-   job-granular. *)
-let reject_job (t : t) idx err j =
-  ignore (Atomic.fetch_and_add t.discarded 1);
-  record_dead_letter t idx j;
-  abort_job j err
-
+   synchronous waiter. *)
 let reject (t : t) idx err = function
   | Stop -> ()
-  | Jobs js -> List.iter (reject_job t idx err) js
+  | Job j ->
+    ignore (Atomic.fetch_and_add t.discarded 1);
+    record_dead_letter t idx j;
+    abort_job j err
 
 (* Stop is final — no replay possible — so shutdown leftovers are discarded
    without parking them in the dead-letter ring. *)
-let discard_job_at_stop (t : t) j =
-  ignore (Atomic.fetch_and_add t.discarded 1);
-  abort_job j Stopped
-
 let discard_at_stop (t : t) = function
   | Stop -> ()
-  | Jobs js -> List.iter (discard_job_at_stop t) js
+  | Job j ->
+    ignore (Atomic.fetch_and_add t.discarded 1);
+    abort_job j Stopped
+
+(* A degraded shard has no consumer: reject whatever reached its inbox. *)
+let sweep_degraded t sh =
+  List.iter (reject t sh.idx (Degraded sh.idx)) (Mpsc.take_now sh.inbox)
 
 (* --- durability-deferred completions ----------------------------------------
    A job that wants its waiter released only once its commits are sealed
@@ -496,34 +470,37 @@ let run_job t sh sys ~trace run =
 
 (* A job counts as enqueued before it is in the inbox: counted after, it
    could run and complete first, and [drain] would see its parent's share
-   of the count as done while the parent still runs. *)
-let try_push_counted (t : t) sh msg k =
-  ignore (Atomic.fetch_and_add t.enqueued k);
-  Mpsc.try_push sh.inbox ~capacity:t.capacity msg
-  || begin
-       ignore (Atomic.fetch_and_add t.enqueued (-k));
-       false
-     end
+   of the count as done while the parent still runs.  A push that raced a
+   degrade (the shard degraded after the caller checked its state) is
+   swept here: the degrader's sweep saw the push, or this state read sees
+   the degrade. *)
+let push_counted (t : t) sh ~bounded msg =
+  ignore (Atomic.fetch_and_add t.enqueued 1);
+  let pushed =
+    if bounded then Mpsc.try_push sh.inbox ~capacity:t.capacity msg
+    else (Mpsc.push sh.inbox msg; true)
+  in
+  if not pushed then ignore (Atomic.fetch_and_add t.enqueued (-1))
+  else if get_state sh = `Degraded then sweep_degraded t sh;
+  pushed
 
-(* Admit a job vector to [sh]'s inbox: the whole vector is admitted or
-   rejected atomically as one message (one CAS, one wakeup), and the
-   backpressure policies account all [k] jobs — capacity is charged in
-   jobs, a shed vector bumps the shed counter by [k], and a dead-lettered
-   one parks each job individually so replay stays job-granular. *)
-let accept t sh js =
-  let k = List.length js in
-  let msg = Jobs js in
-  if try_push_counted t sh msg k then Ok ()
+(* Admit one job to [sh]'s bounded inbox; on overflow the pool's
+   backpressure policy decides. *)
+let accept (t : t) sh j =
+  let msg = Job j in
+  let shed () =
+    ignore (Atomic.fetch_and_add t.shed 1);
+    Obs.Metrics.hit st_shed;
+    Error (Overloaded sh.idx)
+  in
+  if push_counted t sh ~bounded:true msg then Ok ()
   else
     match t.policy with
-    | Shed_newest ->
-      ignore (Atomic.fetch_and_add t.shed k);
-      Obs.Metrics.add st_shed k;
-      Error (Overloaded sh.idx)
+    | Shed_newest -> shed ()
     | Dead_letter ->
-      (* parked, not lost: [replay_dead_letters] resubmits them *)
-      ignore (Atomic.fetch_and_add t.shed k);
-      List.iter (record_dead_letter t sh.idx) js;
+      (* parked, not lost: [replay_dead_letters] resubmits it *)
+      ignore (Atomic.fetch_and_add t.shed 1);
+      record_dead_letter t sh.idx j;
       Error (Dead_lettered sh.idx)
     | Block { max_wait_ms } ->
       let deadline =
@@ -538,12 +515,8 @@ let accept t sh js =
         | _ -> ());
         if Atomic.get t.stopped then Error Stopped
         else if get_state sh = `Degraded then Error (Degraded sh.idx)
-        else if try_push_counted t sh msg k then Ok ()
-        else if Obs.Clock.now_ns () >= deadline then begin
-          ignore (Atomic.fetch_and_add t.shed k);
-          Obs.Metrics.add st_shed k;
-          Error (Overloaded sh.idx)
-        end
+        else if push_counted t sh ~bounded:true msg then Ok ()
+        else if Obs.Clock.now_ns () >= deadline then shed ()
         else begin
           (try
              Unix.sleepf
@@ -556,21 +529,28 @@ let accept t sh js =
       in
       wait 1
 
-(* [trace] (default: the caller's current trace) is the id a queued job
-   runs under; a job already on its owning shard keeps the ambient one. *)
-let submit ?trace t idx ~run ~abort =
+(* The one way into a shard.  A job submitted on its own shard runs inline
+   under the ambient trace; any other goes to the inbox under [trace]
+   (default: the caller's current trace).  A [~barrier] job is [drain]'s
+   pool-internal bookkeeping: it bypasses the inbox capacity and is never
+   shed, so it neither displaces user work nor moves the backpressure or
+   forwarding counters. *)
+let submit ?trace ?(barrier = false) t idx ~run ~abort =
   if idx < 0 || idx >= t.n then invalid_arg "Shard_pool: bad shard index";
   if Atomic.get t.stopped then Error Stopped
   else begin
     let sh = t.shards.(idx) in
     match Domain.DLS.get current_ctx with
     | Some c when c.c_pool == t && c.c_idx = idx ->
-      (* already on the owning shard: run inline under the ambient trace *)
       ignore (Atomic.fetch_and_add t.enqueued 1);
       run_job t sh c.c_sys ~trace:0 run;
       Ok ()
     | ctx ->
       if get_state sh = `Degraded then Error (Degraded idx)
+      else if barrier then begin
+        ignore (push_counted t sh ~bounded:false (Job { run; trace = 0; abort }));
+        Ok ()
+      end
       else begin
         (match ctx with
         | Some c when c.c_pool == t ->
@@ -579,7 +559,7 @@ let submit ?trace t idx ~run ~abort =
         let trace =
           match trace with Some tr -> tr | None -> Obs.Trace.current ()
         in
-        accept t sh [ { run; trace; abort } ]
+        accept t sh { run; trace; abort }
       end
   end
 
@@ -610,19 +590,19 @@ let await (t : t) idx iv deadline_ns =
       Obs.Metrics.hit st_timeout;
       Error (Shard_error (Timed_out idx)))
 
-(* Hand [f] to shard [idx] through [post], its result (or the typed error
-   that displaced it) landing in [iv].  A declined post fills [iv] itself:
-   a rejected job never reaches its abort. *)
-let post_into ~post iv idx f =
+(* Submit [f] to shard [idx], its result (or the typed error that displaced
+   it) landing in [iv].  A declined submission fills [iv] itself: a
+   rejected job never reaches its abort. *)
+let post_into ?barrier t iv idx f =
   let run sys = Ivar.fill iv (try Ok (f sys) with e -> Error e) in
   let abort = Some (fun err -> Ivar.fill iv (Error (Shard_error err))) in
-  match post idx ~run ~abort with
+  match submit ?barrier t idx ~run ~abort with
   | Ok () -> ()
   | Error err -> Ivar.fill iv (Error (Shard_error err))
 
 let run_on ?timeout_ms t idx f =
   let iv = Ivar.create () in
-  post_into ~post:(submit t) iv idx f;
+  post_into t iv idx f;
   await t idx iv (deadline_of timeout_ms)
 
 (* Scatter-gather over every shard: post [f i] to each shard before waiting
@@ -630,14 +610,14 @@ let run_on ?timeout_ms t idx f =
    A shard that declines or fails does not stop the others.  The calling
    shard's own job runs inline, so it is posted last: the other shards'
    jobs overlap with it instead of queueing behind it. *)
-let scatter ?timeout_ms t ~post f =
+let scatter ?timeout_ms ?barrier t f =
   let deadline_ns = deadline_of timeout_ms in
   let self = self_index t in
   let ivs = Array.init t.n (fun _ -> Ivar.create ()) in
   for i = 0 to t.n - 1 do
-    if i <> self then post_into ~post ivs.(i) i (f i)
+    if i <> self then post_into ?barrier t ivs.(i) i (f i)
   done;
-  if self >= 0 then post_into ~post ivs.(self) self (f self);
+  if self >= 0 then post_into ?barrier t ivs.(self) self (f self);
   Array.mapi (fun i iv -> await t i iv deadline_ns) ivs
 
 let post t oid meth args =
@@ -645,90 +625,10 @@ let post t oid meth args =
       ignore (Db.send (System.db sys) oid meth args))
 
 let each ?timeout_ms t f =
-  let results = scatter ?timeout_ms t ~post:(submit t) f in
+  let results = scatter ?timeout_ms t f in
   match Array.find_opt Result.is_error results with
   | Some (Error e) -> Error e
   | _ -> Ok (Array.to_list (Array.map Result.get_ok results))
-
-(* --- cross-shard message batching ------------------------------------------ *)
-
-(* A posting-side buffer: cross-shard submissions accumulate per destination
-   shard and each destination's run is flushed as one [Jobs] vector — one
-   CAS and one wakeup instead of one per job.  Not thread-safe: one batch
-   belongs to one posting thread (make one per producer). *)
-type batch = {
-  b_pool : t;
-  b_cap : int; (* per-destination flush threshold, in jobs *)
-  b_jobs : job list array; (* newest first, one buffer per destination *)
-  b_len : int array;
-}
-
-let batch ?(flush_max = 64) t =
-  if flush_max < 1 then invalid_arg "Shard_pool.batch: flush_max must be >= 1";
-  {
-    b_pool = t;
-    (* a flush must fit the bounded inbox or Block would spin forever *)
-    b_cap = min flush_max t.capacity;
-    b_jobs = Array.make t.n [];
-    b_len = Array.make t.n 0;
-  }
-
-let flush_shard b idx =
-  match b.b_jobs.(idx) with
-  | [] -> Ok ()
-  | rev ->
-    b.b_jobs.(idx) <- [];
-    b.b_len.(idx) <- 0;
-    let t = b.b_pool in
-    let sh = t.shards.(idx) in
-    let js = List.rev rev in
-    if Atomic.get t.stopped then begin
-      List.iter (fun j -> abort_job j Stopped) js;
-      Error Stopped
-    end
-    else if get_state sh = `Degraded then begin
-      (* the shard degraded after these jobs were buffered: they were never
-         accepted, so only their waiters need the typed error *)
-      List.iter (fun j -> abort_job j (Degraded idx)) js;
-      Error (Degraded idx)
-    end
-    else accept t sh js
-
-let flush b =
-  let err = ref None in
-  for idx = 0 to b.b_pool.n - 1 do
-    match flush_shard b idx with
-    | Ok () -> ()
-    | Error e -> if !err = None then err := Some e
-  done;
-  match !err with None -> Ok () | Some e -> Error e
-
-let batch_submit ?trace b idx ~run ~abort =
-  let t = b.b_pool in
-  if idx < 0 || idx >= t.n then invalid_arg "Shard_pool: bad shard index";
-  if Atomic.get t.stopped then Error Stopped
-  else
-    match Domain.DLS.get current_ctx with
-    | Some c when c.c_pool == t && c.c_idx = idx ->
-      (* on the owning shard already: inline, never buffered — buffering
-         behind the running job would deadlock a synchronous waiter *)
-      submit t idx ~run ~abort
-    | ctx ->
-      (match ctx with
-      | Some c when c.c_pool == t ->
-        ignore (Atomic.fetch_and_add t.forwarded 1)
-      | _ -> ());
-      let trace = match trace with Some tr -> tr | None -> Obs.Trace.current () in
-      b.b_jobs.(idx) <- { run; trace; abort } :: b.b_jobs.(idx);
-      b.b_len.(idx) <- b.b_len.(idx) + 1;
-      if b.b_len.(idx) >= b.b_cap then flush_shard b idx else Ok ()
-
-let batch_post_on b idx run = batch_submit b idx ~run ~abort:None
-
-let batch_post b oid meth args =
-  batch_post_on b
-    (shard_of b.b_pool oid)
-    (fun sys -> ignore (Db.send (System.db sys) oid meth args))
 
 (* --- batched ingestion ------------------------------------------------------ *)
 
@@ -781,20 +681,19 @@ let ingest ?(wait = false) ?trace t events =
     !ivs;
   match !err with None -> Ok () | Some e -> Error e
 
-let kill t idx =
-  if idx < 0 || idx >= t.n then invalid_arg "Shard_pool: bad shard index";
-  post_on t idx (fun _ -> raise Shard_kill)
+let kill t idx = post_on t idx (fun _ -> raise Shard_kill)
 
 (* --- quiescence ------------------------------------------------------------ *)
 
-(* Quiescence barrier: a round posts a no-op through every live shard's inbox
-   (per-producer FIFO means it drains everything enqueued before it) — to
-   all shards at once, then waits for all of them — and then checks that no
-   accepted job is still in flight: jobs spawned *by* jobs (cross-shard
+(* Quiescence barrier: a round submits a no-op through every live shard's
+   inbox (per-producer FIFO means it drains everything enqueued before it) —
+   to all shards at once, then waits for all of them — and then checks that
+   no accepted job is still in flight: jobs spawned *by* jobs (cross-shard
    cascades) bump [enqueued] before their parent completes, and jobs the
-   supervisor discarded count into [discarded], so
-   completed + discarded >= enqueued really means quiet.  Degraded shards are
-   skipped (their backlog was discarded when they degraded). *)
+   failure machinery discarded count into [discarded], so
+   completed + discarded >= enqueued really means quiet.  Degraded shards
+   decline the barrier (their backlog was discarded when they degraded), and
+   so does a stopped pool, whose workers are gone: nothing more will run. *)
 let drain (t : t) =
   (* the finished counts are read before [enqueued]: a job enqueues its
      children before it completes, so a completion seen here brings its
@@ -803,25 +702,9 @@ let drain (t : t) =
     let finished = Atomic.get t.completed + Atomic.get t.discarded in
     finished >= Atomic.get t.enqueued
   in
-  let self = self_index t in
-  (* the barrier bypasses the bounded-inbox capacity: it is pool-internal
-     bookkeeping and must neither shed user work nor count against the
-     backpressure policy's counters.  A shard draining the pool must not
-     queue a barrier behind itself — its own worker is busy running this
-     very job — so its barrier runs inline. *)
-  let barrier i ~run ~abort =
-    let sh = t.shards.(i) in
-    if i = self then Ok (run (system_exn sh))
-    else if get_state sh = `Degraded then Error (Degraded i)
-    else begin
-      ignore (Atomic.fetch_and_add t.enqueued 1);
-      Mpsc.push sh.inbox (Jobs [ { run; trace = 0; abort } ]);
-      Ok ()
-    end
-  in
   let rec go () =
-    ignore (scatter t ~post:barrier (fun _ _ -> ()));
-    if not (quiet ()) then begin
+    ignore (scatter ~barrier:true t (fun _ _ -> ()));
+    if not (quiet () || Atomic.get t.stopped) then begin
       (try Unix.sleepf 0.0002 with Unix.Unix_error _ -> ());
       go ()
     end
@@ -884,7 +767,7 @@ let replay_dead_letters t =
            Dead_letter policy would park a rejected replay a second time —
            plain bounded push, back to the ring exactly once on overflow *)
         if get_state sh = `Degraded then back ()
-        else if try_push_counted t sh (Jobs [ j ]) 1 then incr replayed
+        else if push_counted t sh ~bounded:true (Job j) then incr replayed
         else back ())
       entries;
     !replayed
@@ -897,8 +780,32 @@ let replay_dead_letters t =
    transitions made under [hand] and gated on the worker's generation.  A
    teardown bumps the generation and claims pending + current atomically
    under the same lock, so exactly one side owns every message: a superseded
-   worker that wakes mid-transition sees itself stale and hands anything it
-   holds back to the inbox for its successor. *)
+   worker that wakes mid-transition sees itself stale and leaves, and a live
+   one moves the inbox to [pending] under the lock, so it never holds a
+   message that is neither queued nor claimed. *)
+
+(* Invalidate the current worker generation and claim whatever it held.
+   After this returns the old worker (if still running) sees itself stale at
+   its next transition and exits without touching the inbox. *)
+let teardown sh =
+  Mutex.protect sh.hand (fun () ->
+      ignore (Atomic.fetch_and_add sh.generation 1);
+      Atomic.set sh.alive false;
+      Atomic.set sh.busy_since 0.;
+      Atomic.set sh.init_failed false;
+      let cur = sh.current and rest = sh.pending in
+      sh.current <- None;
+      sh.pending <- [];
+      (cur, rest))
+
+let degrade t sh cur rest =
+  Atomic.set sh.state s_degraded;
+  Obs.Metrics.hit st_degraded;
+  if !Obs.Trace.on then Obs.Trace.instant "shard.degraded" (string_of_int sh.idx);
+  let err = Degraded sh.idx in
+  (match cur with Some m -> reject t sh.idx err m | None -> ());
+  List.iter (reject t sh.idx err) rest;
+  sweep_degraded t sh
 
 let claim sh ~gen =
   Mutex.protect sh.hand (fun () ->
@@ -941,56 +848,40 @@ let worker t sh ~gen ready =
          match claim sh ~gen with
          | `Stale -> outcome := `Abandoned
          | `Run Stop -> outcome := `Stopped
-         | `Run (Jobs js) ->
-           (* per-job heartbeat/busy refresh so the wedge watchdog sees
-              progress inside a long vector, and per-job containment
-              exactly as if each had arrived alone *)
-           List.iter
-             (fun j ->
-               Atomic.set sh.busy_since (Obs.Clock.now_ns ());
-               ignore (Atomic.fetch_and_add sh.heartbeat 1);
-               run_job t sh sys ~trace:j.trace j.run)
-             js;
+         | `Run (Job j) ->
+           (* [busy_since] is what the wedge watchdog reads *)
+           Atomic.set sh.busy_since (Obs.Clock.now_ns ());
+           run_job t sh sys ~trace:j.trace j.run;
            Atomic.set sh.busy_since 0.;
            finish sh ~gen;
            loop ()
          | `Empty ->
-           let batch =
-             (* grab anything that raced in without blocking first: the
-                idle hook must only fire on a truly quiet mailbox, and a
-                loaded shard must not pay a durability point mid-run *)
-             match Mpsc.take_now sh.inbox with
-             | [] ->
-               let sealed =
-                 match t.on_idle with
-                 | Some f -> (
-                   try Ok (f sh.idx sys)
-                   with e ->
-                     note_failure t sh e;
-                     Error (Degraded sh.idx))
-                 | None -> Ok ()
-               in
-               (* the seal above made everything committed so far durable,
-                  or failed to: release the waiters parked on it *)
-               run_deferred sealed (take_deferred sh);
-               Mpsc.take sh.inbox ~cancelled:stale
-             | b -> b
-           in
-           ignore (Atomic.fetch_and_add sh.heartbeat 1);
+           (* the idle hook must only fire on a truly quiet mailbox, and a
+              loaded shard must not pay a durability point mid-run *)
+           if Mpsc.depth sh.inbox = 0 then begin
+             let sealed =
+               match t.on_idle with
+               | Some f -> (
+                 try Ok (f sh.idx sys)
+                 with e ->
+                   note_failure t sh e;
+                   Error (Degraded sh.idx))
+               | None -> Ok ()
+             in
+             (* the seal above made everything committed so far durable,
+                or failed to: release the waiters parked on it *)
+             run_deferred sealed (take_deferred sh);
+             Mpsc.await sh.inbox ~cancelled:stale
+           end;
            let keep =
              Mutex.protect sh.hand (fun () ->
                  if stale () then false
                  else begin
-                   sh.pending <- batch;
+                   sh.pending <- Mpsc.take_now sh.inbox;
                    true
                  end)
            in
-           if keep then loop ()
-           else begin
-             (* raced a teardown: hand the batch to the successor *)
-             List.iter (Mpsc.push sh.inbox) batch;
-             outcome := `Abandoned
-           end
+           if keep then loop () else outcome := `Abandoned
        in
        loop ()
      with
@@ -1027,8 +918,15 @@ let worker t sh ~gen ready =
           if not (stale ()) then Atomic.set sh.alive false)
     | `Died ->
       run_deferred (Error (Degraded sh.idx)) (take_deferred sh);
-      Mutex.protect sh.hand (fun () ->
-          if not (stale ()) then Atomic.set sh.alive false)
+      if t.supervision = None then begin
+        (* nothing will restart this shard: degrade it now, as a restart
+           budget of 0 would, so its backlog and later sends fail typed *)
+        let cur, rest = teardown sh in
+        degrade t sh cur rest
+      end
+      else
+        Mutex.protect sh.hand (fun () ->
+            if not (stale ()) then Atomic.set sh.alive false)
     | `Abandoned -> ())
 
 let spawn_worker t sh ready =
@@ -1044,20 +942,6 @@ let spawn_worker t sh ready =
 
 (* --- supervisor ------------------------------------------------------------ *)
 
-(* Invalidate the current worker generation and claim whatever it held.
-   After this returns the old worker (if still running) sees itself stale at
-   its next transition and exits without touching the inbox. *)
-let teardown sh =
-  Mutex.protect sh.hand (fun () ->
-      ignore (Atomic.fetch_and_add sh.generation 1);
-      Atomic.set sh.alive false;
-      Atomic.set sh.busy_since 0.;
-      Atomic.set sh.init_failed false;
-      let cur = sh.current and rest = sh.pending in
-      sh.current <- None;
-      sh.pending <- [];
-      (cur, rest))
-
 let reap_domain t sh ~wedged =
   match sh.domain with
   | None -> ()
@@ -1070,15 +954,6 @@ let reap_domain t sh ~wedged =
          and exits without side effects on the pool *)
       Mutex.protect t.zombies_lock (fun () ->
           t.zombies <- (d, fin) :: t.zombies)
-
-let degrade t sh cur rest =
-  Atomic.set sh.state s_degraded;
-  Obs.Metrics.hit st_degraded;
-  if !Obs.Trace.on then Obs.Trace.instant "shard.degraded" (string_of_int sh.idx);
-  let err = Degraded sh.idx in
-  (match cur with Some m -> reject t sh.idx err m | None -> ());
-  List.iter (reject t sh.idx err) rest;
-  List.iter (reject t sh.idx err) (Mpsc.take_now sh.inbox)
 
 let restart t sup sh ~wedged =
   let now = Obs.Clock.now_ns () in
@@ -1101,12 +976,9 @@ let restart t sup sh ~wedged =
     let queued = Mpsc.take_now sh.inbox in
     List.iter (Mpsc.push sh.inbox) (rest @ queued);
     (* the in-flight message crashed or wedged this shard: dead-letter it
-       rather than replay it into the fresh engine.  For a job vector that
-       is the whole vector — job-granular replay after a mid-vector crash
-       would need per-job completion tracking; the operator replaying a
-       vector's dead letters may re-run its completed prefix. *)
+       rather than replay it into the fresh engine *)
     (match cur with
-    | Some (Jobs _ as m) -> reject t sh.idx (Dead_lettered sh.idx) m
+    | Some (Job _ as m) -> reject t sh.idx (Dead_lettered sh.idx) m
     | Some Stop -> Mpsc.push sh.inbox Stop
     | None -> ());
     spawn_worker t sh None
@@ -1115,11 +987,6 @@ let restart t sup sh ~wedged =
 let check_shard t sup sh now =
   match get_state sh with
   | `Degraded ->
-    (* keep the mailbox honest: reject anything that raced past the
-       degraded check in [submit] *)
-    (match Mpsc.take_now sh.inbox with
-    | [] -> ()
-    | msgs -> List.iter (reject t sh.idx (Degraded sh.idx)) msgs);
     if Atomic.get sh.reinstate_requested then begin
       Atomic.set sh.reinstate_requested false;
       sh.restart_times <- [];
@@ -1232,7 +1099,7 @@ let create ?on_failure ?on_idle ?(failure_log_limit = 128)
         Array.init n (fun idx ->
             {
               idx;
-              inbox = Mpsc.create ~weigh:weigh_msg ();
+              inbox = Mpsc.create ();
               system = None;
               domain = None;
               processed = Atomic.make 0;
@@ -1245,7 +1112,6 @@ let create ?on_failure ?on_idle ?(failure_log_limit = 128)
               pending = [];
               current = None;
               deferred = [];
-              heartbeat = Atomic.make 0;
               busy_since = Atomic.make 0.;
               restarts = Atomic.make 0;
               restart_times = [];

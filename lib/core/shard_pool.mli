@@ -37,7 +37,8 @@
     {2 Lifecycle and typed errors}
 
     A pool is {e live} from {!create} until {!stop}.  Every submission
-    ({!post}, {!post_on}, {!run_on}) returns a typed
+    ({!post}, {!post_on}, {!run_on}, {!each}, {!ingest}, {!kill}) takes one
+    path into the shard — one job, one mailbox message — and returns a typed
     {!type:error} instead of raising or silently queueing when it cannot be
     accepted:
 
@@ -79,7 +80,10 @@
     Terminal states, per shard: [`Ready] (worker consuming), [`Restarting]
     (teardown done, replacement [init] in flight or being retried) and
     [`Degraded] (budget exhausted; operator action required).  Without
-    supervision the seed behaviour remains: a dead shard stays dead.
+    supervision a shard whose worker dies degrades at once, as with a
+    restart budget of 0: its backlog is dead-lettered with waiters woken
+    ([Degraded i]), later sends fail fast, and {!drain} skips it; only a
+    supervised pool can {!reinstate} it.
 
     {2 Backpressure}
 
@@ -158,10 +162,11 @@ type stats = {
       (** {!run_on} and {!each} deadline expiries, one per shard that
           missed the deadline *)
   mpsc_pushes : int;
-      (** successful mailbox pushes, pool-wide.  A flushed job vector
-          ({!flush}) counts once however many jobs it carries, so
-          [enqueued / mpsc_pushes] measures cross-shard message
-          coalescing. *)
+      (** successful mailbox pushes, pool-wide: one per queued job, plus
+          the pool's own control messages (drain barriers, stop markers,
+          restart requeues).  {!ingest} ships one job per destination shard
+          however many events it carries, so events ingested per push
+          measures cross-shard message coalescing. *)
 }
 
 val create :
@@ -238,48 +243,6 @@ val run_on : ?timeout_ms:int -> t -> int -> (System.t -> 'a) -> ('a, exn) result
     A waiter whose job is displaced by a restart, degrade or stop is woken
     with the corresponding typed error instead of blocking forever. *)
 
-(** {2 Cross-shard message batching}
-
-    A {!type:batch} buffers cross-shard submissions per destination shard and
-    flushes each destination's run as one job {e vector} — one mailbox CAS
-    and one worker wakeup for the whole vector instead of one per job.  The
-    receiving shard executes the vector's jobs in order, with per-job
-    heartbeat, failure containment and accounting identical to individually
-    posted jobs; backpressure treats a flush as one all-or-nothing unit of
-    [length] jobs (a shed or dead-lettered flush sheds/parks every job in
-    it).  A batch is single-producer: create one per posting thread. *)
-
-type batch
-
-val batch : ?flush_max:int -> t -> batch
-(** A fresh empty batch over the pool.  A destination's buffer auto-flushes
-    when it reaches [flush_max] jobs (default 64, silently capped at the
-    pool's [inbox_capacity] so a vector always fits the bounded mailbox).
-    [invalid_arg] when [flush_max < 1]. *)
-
-val batch_post :
-  batch -> Oodb.Oid.t -> string -> Oodb.Value.t list -> (unit, error) result
-(** {!post} through the batch: buffered per destination shard rather than
-    pushed immediately.  [Ok ()] means buffered (or, on auto-flush,
-    accepted); errors surface at flush time through {!flush}'s result and
-    each job's waiter.  Per-destination order is preserved; ordering
-    {e across} destinations follows flush order, as with interleaved
-    {!post}s racing distinct mailboxes.  Posting from the destination shard
-    itself degrades to the inline {!post} path (never buffered — buffering
-    behind the running job would deadlock a synchronous waiter). *)
-
-val batch_post_on : batch -> int -> (System.t -> unit) -> (unit, error) result
-(** {!post_on} through the batch; same buffering contract as
-    {!batch_post}. *)
-
-val flush : batch -> (unit, error) result
-(** Push every non-empty destination buffer now (a single-job buffer goes as
-    a plain message, a multi-job buffer as one vector).  Buffered jobs whose
-    shard stopped or degraded since buffering have their waiters woken with
-    the typed error; the first error encountered is returned after {e all}
-    destinations have been attempted.  Idempotent on an empty batch, and the
-    batch is reusable after a flush. *)
-
 val ingest :
   ?wait:bool ->
   ?trace:int ->
@@ -321,14 +284,16 @@ val drain : t -> unit
     backlogs, restart dead-letters).  Each round sends a barrier to every
     live shard at once and waits for all of them, then checks that no
     job spawned meanwhile (a cross-shard cascade) is still in flight;
-    rounds repeat until none is.  Degraded shards are skipped. *)
+    rounds repeat until none is.  Degraded shards are skipped.  The
+    barrier is never shed: it bypasses the inbox capacity and the
+    backpressure counters.  On a stopped pool it returns at once. *)
 
 val kill : t -> int -> (unit, error) result
 (** Chaos injection: post a job that dies mid-batch, simulating the shard
     domain crashing.  The worker loop unwinds exactly like a crash — the
     in-flight message stays claimed for the supervisor to dead-letter, the
-    rest of the batch is replayed.  Without supervision the shard stays
-    dead (the documented seed behaviour). *)
+    rest of the batch is replayed.  Without supervision the shard
+    degrades (see Supervision). *)
 
 val reinstate : t -> int -> unit
 (** Ask the supervisor to clear a degraded shard's restart budget and

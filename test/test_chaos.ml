@@ -253,11 +253,14 @@ let flood_pool policy ~capacity =
 
 let test_flood_shed_newest () =
   let pool = flood_pool Shard_pool.Shed_newest ~capacity:8 in
-  let gate = Atomic.make false in
+  let gate = Atomic.make false and started = Atomic.make false in
   post_on_exn pool 0 (fun _ ->
+      Atomic.set started true;
       while not (Atomic.get gate) do
         Domain.cpu_relax ()
       done);
+  (* the flood must land in the inbox, not in the worker's claimed batch *)
+  wait_for "the gate job started" (fun () -> Atomic.get started);
   let ran = Atomic.make 0 in
   let accepted = ref 0 and shed = ref 0 in
   for _ = 1 to 100 do
@@ -269,13 +272,23 @@ let test_flood_shed_newest () =
         (Shard_pool.error_to_string e)
   done;
   Alcotest.(check bool) "flood actually overflowed" true (!shed > 0);
+  (* drain while the inbox is still full: its barrier must get in without
+     being shed or shedding anyone *)
+  let drainer = Domain.spawn (fun () -> Shard_pool.drain pool) in
+  wait_for "the barrier queued past the full inbox" (fun () ->
+      (Shard_pool.stats pool).Shard_pool.inbox_depth.(0) > 8);
+  Alcotest.(check int) "the barrier shed nothing" !shed
+    (Shard_pool.stats pool).Shard_pool.shed;
   Atomic.set gate true;
-  Shard_pool.drain pool;
+  Domain.join drainer;
   let st = Shard_pool.stats pool in
   Alcotest.(check int) "posted = accepted + shed" 100 (!accepted + !shed);
   Alcotest.(check int) "shed counter matches rejections" !shed
     st.Shard_pool.shed;
   Alcotest.(check int) "every accepted job ran" !accepted (Atomic.get ran);
+  Alcotest.(check int) "completed + discarded = enqueued"
+    st.Shard_pool.enqueued
+    (st.Shard_pool.completed + st.Shard_pool.discarded);
   Shard_pool.stop pool
 
 (* --- flood: Dead_letter parks the overflow; replay completes it ---------- *)
@@ -471,6 +484,51 @@ let test_each_skips_degraded () =
   Shard_pool.drain pool;
   Shard_pool.stop pool
 
+(* --- without a supervisor: a dead shard degrades, a stopped pool drains -- *)
+
+let test_unsupervised_kill_degrades () =
+  let pool = flood_pool (Shard_pool.Block { max_wait_ms = 1_000 }) ~capacity:64 in
+  let gate = Atomic.make false and started = Atomic.make false in
+  post_on_exn pool 0 (fun _ ->
+      Atomic.set started true;
+      while not (Atomic.get gate) do
+        Domain.cpu_relax ()
+      done);
+  wait_for "the gate job started" (fun () -> Atomic.get started);
+  ok_or_raise (Shard_pool.kill pool 0);
+  (* queued behind the kill: its waiter must be told, not stranded *)
+  let waiter = Domain.spawn (fun () -> Shard_pool.run_on pool 0 (fun _ -> ())) in
+  wait_for "the waiter's job queued" (fun () ->
+      (Shard_pool.stats pool).Shard_pool.inbox_depth.(0) >= 2);
+  Atomic.set gate true;
+  (match Domain.join waiter with
+  | Error (Shard_pool.Shard_error (Shard_pool.Degraded 0)) -> ()
+  | Ok () -> Alcotest.fail "a job behind the kill ran"
+  | Error e -> Alcotest.failf "expected Degraded 0, got %s" (Printexc.to_string e));
+  Alcotest.(check string) "shard 0 degraded" "degraded"
+    (Shard_pool.state_to_string (Shard_pool.shard_state pool 0));
+  (match Shard_pool.post_on pool 0 (fun _ -> ()) with
+  | Error (Shard_pool.Degraded 0) -> ()
+  | Ok () -> Alcotest.fail "a dead shard accepted a job"
+  | Error e -> Alcotest.failf "expected Degraded 0, got %s"
+                 (Shard_pool.error_to_string e));
+  Alcotest.(check unit) "the live shard still serves" ()
+    (run_on_exn pool 1 (fun _ -> ()));
+  Shard_pool.drain pool;
+  let st = Shard_pool.stats pool in
+  Alcotest.(check int) "completed + discarded = enqueued"
+    st.Shard_pool.enqueued
+    (st.Shard_pool.completed + st.Shard_pool.discarded);
+  Shard_pool.stop pool
+
+let test_drain_after_stop () =
+  let pool = flood_pool Shard_pool.Shed_newest ~capacity:8 in
+  post_on_exn pool 1 (fun _ -> ());
+  Shard_pool.stop pool;
+  Shard_pool.drain pool;
+  Alcotest.(check bool) "still stopped" true
+    (Shard_pool.post_on pool 0 (fun _ -> ()) = Error Shard_pool.Stopped)
+
 let suite =
   [
     test "kill mid-batch: acked commits survive via WAL recovery"
@@ -494,4 +552,6 @@ let suite =
     test "each: one deadline for every shard" test_each_one_deadline;
     test "each: degraded shard reported, live shards run"
       test_each_skips_degraded;
+    test "unsupervised: a killed shard degrades" test_unsupervised_kill_degrades;
+    test "drain on a stopped pool returns" test_drain_after_stop;
   ]

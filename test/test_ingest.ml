@@ -389,9 +389,10 @@ let test_cross_shard_ingest_parity () =
   Shard_pool.stop pool_a;
   Shard_pool.stop pool_b
 
-(* The acceptance gate: at batch=64 over 4 shards, the flush path must cut
-   mailbox pushes by at least 8x against per-event posting.  Measured before
-   any drain so barrier messages stay out of the count. *)
+(* The acceptance gate: at batch=64 over 4 shards, [ingest] must cut
+   mailbox pushes by at least 8x against per-event posting — one push per
+   destination shard.  Each side is measured before its drain so barrier
+   messages stay out of the count. *)
 let test_mpsc_push_coalescing () =
   let fired = Array.init n_dom (fun _ -> ref 0) in
   let pool = mk_pool fired in
@@ -409,85 +410,19 @@ let test_mpsc_push_coalescing () =
     (mk_events objs n);
   let individual = pushes () - p0 in
   Shard_pool.drain pool;
-  (* batched posting: one push per destination shard *)
-  let b = Shard_pool.batch pool in
+  (* the same events through ingest: one push per destination shard *)
   let p1 = pushes () in
-  List.iter
-    (fun (o, m, args) ->
-      match Shard_pool.batch_post b o m args with
-      | Ok () -> ()
-      | Error e -> raise (Shard_pool.Shard_error e))
-    (mk_events objs n);
-  (match Shard_pool.flush b with
+  (match Shard_pool.ingest pool (mk_events objs n) with
   | Ok () -> ()
   | Error e -> raise (Shard_pool.Shard_error e));
   let coalesced = pushes () - p1 in
   Shard_pool.drain pool;
   Alcotest.(check int) "per-event posting pushes once per event" n individual;
-  Alcotest.(check int) "flush pushes once per destination" n_dom coalesced;
+  Alcotest.(check int) "ingest pushes once per destination" n_dom coalesced;
   Alcotest.(check bool)
     (Printf.sprintf "coalescing >= 8x (%d vs %d)" individual coalesced)
     true
     (individual >= 8 * coalesced);
-  (* and pool-level ingest is at least as frugal *)
-  let p2 = pushes () in
-  (match Shard_pool.ingest pool (mk_events objs n) with
-  | Ok () -> ()
-  | Error e -> raise (Shard_pool.Shard_error e));
-  let ingest_pushes = pushes () - p2 in
-  Shard_pool.drain pool;
-  Alcotest.(check bool) "ingest ships at most one message per shard" true
-    (ingest_pushes <= n_dom);
-  Shard_pool.stop pool
-
-(* A rejected flush accounts every job it carried: Shed_newest on a full
-   inbox sheds the whole vector, job-granularly. *)
-let test_flush_backpressure_accounting () =
-  let ran = Atomic.make 0 in
-  let gate = Atomic.make false in
-  let started = Atomic.make false in
-  let pool =
-    Shard_pool.create ~shards:2 ~inbox_capacity:4 ~backpressure:Shed_newest
-      ~init:(fun _ _ -> System.create (employee_db ()))
-      ()
-  in
-  let post_on idx f =
-    match Shard_pool.post_on pool idx f with
-    | Ok () -> ()
-    | Error e -> raise (Shard_pool.Shard_error e)
-  in
-  post_on 0 (fun _ ->
-      Atomic.set started true;
-      while not (Atomic.get gate) do
-        Unix.sleepf 0.0005
-      done);
-  while not (Atomic.get started) do
-    Unix.sleepf 0.0005
-  done;
-  (* worker busy on the gate job: these four fill the bounded inbox *)
-  for _ = 1 to 4 do
-    post_on 0 (fun _ -> ())
-  done;
-  let b = Shard_pool.batch pool in
-  for _ = 1 to 3 do
-    match
-      Shard_pool.batch_post_on b 0 (fun _ ->
-          ignore (Atomic.fetch_and_add ran 1))
-    with
-    | Ok () -> ()
-    | Error e -> raise (Shard_pool.Shard_error e)
-  done;
-  let shed_before = (Shard_pool.stats pool).Shard_pool.shed in
-  (match Shard_pool.flush b with
-  | Error (Shard_pool.Overloaded 0) -> ()
-  | Ok () -> Alcotest.fail "expected the flush to be shed"
-  | Error e -> raise (Shard_pool.Shard_error e));
-  let st = Shard_pool.stats pool in
-  Alcotest.(check int) "whole vector counted as shed" (shed_before + 3)
-    st.Shard_pool.shed;
-  Atomic.set gate true;
-  Shard_pool.drain pool;
-  Alcotest.(check int) "shed jobs never ran" 0 (Atomic.get ran);
   Shard_pool.stop pool
 
 (* A durable ingest is answered by its seal: when the idle hook that seals
@@ -542,8 +477,7 @@ let suite =
     test "route coalescing counters" test_coalescing_counters;
     test "feed_many matches per-event feed" test_feed_many_parity;
     test "cross-shard ingest parity" test_cross_shard_ingest_parity;
-    test "cross-shard flush coalesces mailbox pushes" test_mpsc_push_coalescing;
-    test "shed flush accounts every job" test_flush_backpressure_accounting;
+    test "cross-shard ingest coalesces mailbox pushes" test_mpsc_push_coalescing;
     test "failed seal fails its durable ingest"
       (test_failed_seal_fails_waiter ~shards:2);
     test "shards=1: failed seal fails its durable ingest"
