@@ -19,8 +19,8 @@ open Import
    on the same OID stride — the user-supplied [init] re-runs, which is where
    per-shard [Wal.recover] lives, so acknowledged commits survive the
    restart.  The message being executed when a shard died is dead-lettered
-   (re-running it would kill the successor too); claimed-but-unstarted
-   messages are replayed.  Restarts are budgeted: too many inside a window
+   (re-running it would kill the successor too); the messages behind it stay
+   queued for the successor.  Restarts are budgeted: too many inside a window
    and the shard is degraded — sends to it fail fast with a typed error
    until an operator calls [reinstate]. *)
 
@@ -167,108 +167,12 @@ module Ivar = struct
     go 1
 end
 
-(* --- bounded MPSC mailbox -------------------------------------------------- *)
-
-(* Treiber stack with batch consume: producers push with one CAS (lock-free,
-   any domain), the consumer exchanges the whole stack and reverses it, which
-   restores per-producer FIFO order.  Parking uses the Dekker store-load
-   pattern — the consumer publishes [sleeping] before its final emptiness
-   check, producers re-read it after their push, and seqcst atomics make it
-   impossible for both to miss each other.
-
-   Bounding: [size] is reserved with a fetch-and-add before the push CAS, so
-   the capacity is a hard bound on queued messages.  [push] (unbounded)
-   exists for control messages and supervisor replays, which must never be
-   shed.  [await ~cancelled] lets a superseded consumer — a worker whose
-   generation the supervisor bumped while it was parked — wake and leave
-   without stealing from its successor. *)
-module Mpsc = struct
-  type 'a t = {
-    head : 'a list Atomic.t; (* newest first *)
-    size : int Atomic.t; (* queued messages *)
-    pushes : int Atomic.t; (* successful CAS publications, monotone *)
-    lock : Mutex.t;
-    cond : Condition.t;
-    sleeping : bool Atomic.t;
-  }
-
-  let create () =
-    {
-      head = Atomic.make [];
-      size = Atomic.make 0;
-      pushes = Atomic.make 0;
-      lock = Mutex.create ();
-      cond = Condition.create ();
-      sleeping = Atomic.make false;
-    }
-
-  let rec push_raw t x =
-    let old = Atomic.get t.head in
-    if not (Atomic.compare_and_set t.head old (x :: old)) then push_raw t x
-    else ignore (Atomic.fetch_and_add t.pushes 1)
-
-  let pushes t = Atomic.get t.pushes
-
-  let signal t =
-    if Atomic.get t.sleeping then begin
-      Mutex.lock t.lock;
-      Condition.broadcast t.cond;
-      Mutex.unlock t.lock
-    end
-
-  let push t x =
-    ignore (Atomic.fetch_and_add t.size 1);
-    push_raw t x;
-    signal t
-
-  let try_push t ~capacity x =
-    if Atomic.fetch_and_add t.size 1 >= capacity then begin
-      ignore (Atomic.fetch_and_add t.size (-1));
-      false
-    end
-    else begin
-      push_raw t x;
-      signal t;
-      true
-    end
-
-  let depth t = max 0 (Atomic.get t.size)
-
-  (* everything queued right now, without blocking *)
-  let take_now t =
-    match Atomic.exchange t.head [] with
-    | [] -> []
-    | xs ->
-      ignore (Atomic.fetch_and_add t.size (-List.length xs));
-      List.rev xs
-
-  (* consumer only; blocks until a message is queued or [cancelled ()]
-     observes true at a wake-up.  It takes nothing: the worker claims the
-     queue under its handoff lock, so a teardown can never catch it holding
-     messages that are neither queued nor claimed. *)
-  let rec await t ~cancelled =
-    if Atomic.get t.head = [] && not (cancelled ()) then begin
-      Mutex.lock t.lock;
-      Atomic.set t.sleeping true;
-      if Atomic.get t.head = [] && not (cancelled ()) then
-        Condition.wait t.cond t.lock;
-      Atomic.set t.sleeping false;
-      Mutex.unlock t.lock;
-      await t ~cancelled
-    end
-
-  (* unconditional wake for cancellation — bypasses the sleeping-flag
-     fast-path check because the target may be mid-park *)
-  let wake t =
-    Mutex.lock t.lock;
-    Condition.broadcast t.cond;
-    Mutex.unlock t.lock
-end
-
 (* --- pool ----------------------------------------------------------------- *)
 
 type job = {
-  run : System.t -> unit;
+  run : System.t -> unit -> unit;
+      (* executes the job and returns its reply, which the worker calls
+         only once the job is counted as completed *)
   trace : int;
   abort : (error -> unit) option; (* invoked when the job is discarded *)
 }
@@ -282,25 +186,29 @@ and s_restarting = 1
 
 and s_degraded = 2
 
+(* One mailbox per shard: [lock] guards the inbox, [current], [deferred],
+   [pushes], the generation and every state change, and [cond] wakes the
+   parked worker on a push or a teardown.  A push therefore reads the state
+   under the lock a degrade takes, so no job lands behind a degrade. *)
 type shard = {
   idx : int;
-  inbox : msg Mpsc.t; (* owned by the shard slot; survives restarts *)
+  lock : Mutex.t;
+  cond : Condition.t;
+  inbox : msg Queue.t; (* owned by the shard slot; survives restarts *)
+  mutable current : msg option; (* message being executed *)
+  mutable deferred : ((unit, error) result -> unit) list;
+      (* completions parked until the next durability point (the idle
+         hook), told whether it made their work durable; newest first *)
+  mutable pushes : int; (* messages ever queued, monotone *)
+  mutable generation : int; (* bumped by every teardown *)
   mutable system : System.t option; (* written by the shard before ready *)
   mutable domain : (unit Domain.t * bool Atomic.t) option;
       (* (domain, finished); supervisor/create/stop only *)
   processed : int Atomic.t;
   failed : int Atomic.t;
-  state : int Atomic.t;
+  state : int Atomic.t; (* written under [lock], read lock-free *)
   alive : bool Atomic.t; (* current-generation worker loop is running *)
   init_failed : bool Atomic.t; (* a restart's [init] raised *)
-  generation : int Atomic.t; (* bumped by every teardown *)
-  hand : Mutex.t; (* guards the worker<->supervisor job handoff *)
-  mutable pending : msg list; (* claimed batch not yet started; under [hand] *)
-  mutable current : msg option; (* message being executed; under [hand] *)
-  mutable deferred : ((unit, error) result -> unit) list;
-      (* completions parked until the next durability point (the idle
-         hook), told whether it made their work durable; newest first,
-         under [hand] *)
   busy_since : float Atomic.t; (* Clock ns; 0. when idle *)
   restarts : int Atomic.t;
   mutable restart_times : float list; (* supervisor domain only *)
@@ -331,7 +239,6 @@ type t = {
          an entire drain run into one fsync *)
   dead_letters : (int * job) Obs.Ring.t; (* guarded by dead_letters_lock *)
   dead_letters_lock : Mutex.t;
-  on_failure : (shard:int -> exn -> unit) option;
   stopped : bool Atomic.t;
   mutable supervisor : unit Domain.t option;
   supervisor_stop : bool Atomic.t;
@@ -353,7 +260,7 @@ type stats = {
   shed : int;
   dead_lettered : int;
   timeouts : int;
-  mpsc_pushes : int; (* successful inbox CASes, pool-wide *)
+  mpsc_pushes : int; (* messages ever queued, pool-wide *)
 }
 
 (* Which shard (of which pool) the current domain is executing for: lets a
@@ -384,8 +291,7 @@ let system_exn sh =
 let note_failure t sh e =
   ignore (Atomic.fetch_and_add sh.failed 1);
   Mutex.protect t.failures_lock (fun () ->
-      Obs.Ring.push t.failures (sh.idx, e));
-  match t.on_failure with Some f -> f ~shard:sh.idx e | None -> ()
+      Obs.Ring.push t.failures (sh.idx, e))
 
 let record_dead_letter t idx j =
   Mutex.protect t.dead_letters_lock (fun () ->
@@ -416,9 +322,18 @@ let discard_at_stop (t : t) = function
     ignore (Atomic.fetch_and_add t.discarded 1);
     abort_job j Stopped
 
-(* A degraded shard has no consumer: reject whatever reached its inbox. *)
-let sweep_degraded t sh =
-  List.iter (reject t sh.idx (Degraded sh.idx)) (Mpsc.take_now sh.inbox)
+(* Everything queued on [sh], oldest first, leaving the inbox empty; the
+   caller holds [sh.lock]. *)
+let take_queued sh =
+  let l = List.of_seq (Queue.to_seq sh.inbox) in
+  Queue.clear sh.inbox;
+  l
+
+(* Queue [msg] and wake the worker; the caller holds [sh.lock]. *)
+let enqueue sh msg =
+  Queue.push msg sh.inbox;
+  sh.pushes <- sh.pushes + 1;
+  Condition.signal sh.cond
 
 (* --- durability-deferred completions ----------------------------------------
    A job that wants its waiter released only once its commits are sealed
@@ -427,11 +342,8 @@ let sweep_degraded t sh =
    with the error that ended it, so no waiter can hang across a stop or a
    crash-restart and none is told its work is durable when no seal ran. *)
 
-let defer_on sh f =
-  Mutex.protect sh.hand (fun () -> sh.deferred <- f :: sh.deferred)
-
 let take_deferred sh =
-  Mutex.protect sh.hand (fun () ->
+  Mutex.protect sh.lock (fun () ->
       match sh.deferred with
       | [] -> []
       | l ->
@@ -446,7 +358,8 @@ let run_deferred sealed fs = List.iter (fun f -> try f sealed with _ -> ()) fs
 let defer_durable t idx f =
   if t.on_idle = None then false
   else begin
-    defer_on t.shards.(idx) f;
+    let sh = t.shards.(idx) in
+    Mutex.protect sh.lock (fun () -> sh.deferred <- f :: sh.deferred);
     true
   end
 
@@ -455,34 +368,43 @@ let defer_durable t idx f =
    at the job boundary, logged, and the shard moves to the next message —
    it never unwinds the worker loop, so one shard's poison job cannot take
    down a sibling or the pool.  [Shard_kill] is the one exception that does
-   unwind: it simulates the domain dying mid-job. *)
+   unwind: it simulates the domain dying mid-job.  The job is counted
+   before its reply releases a waiter, so a caller that reads [stats] right
+   after its [run_on] returns sees its own job completed. *)
 let run_job t sh sys ~trace run =
-  (try
-     if trace = 0 then run sys
-     else Obs.Trace.with_trace trace (fun () -> run sys)
-   with
-  | Shard_kill -> raise Shard_kill
-  | e -> note_failure t sh e);
+  let reply =
+    try
+      if trace = 0 then run sys
+      else Obs.Trace.with_trace trace (fun () -> run sys)
+    with
+    | Shard_kill -> raise Shard_kill
+    | e ->
+      note_failure t sh e;
+      ignore
+  in
   ignore (Atomic.fetch_and_add sh.processed 1);
-  ignore (Atomic.fetch_and_add t.completed 1)
+  ignore (Atomic.fetch_and_add t.completed 1);
+  reply ()
 
 (* --- submission and backpressure ------------------------------------------ *)
 
-(* A job counts as enqueued before it is in the inbox: counted after, it
-   could run and complete first, and [drain] would see its parent's share
-   of the count as done while the parent still runs.  A push that raced a
-   degrade (the shard degraded after the caller checked its state) is
-   swept here: the degrader's sweep saw the push, or this state read sees
-   the degrade. *)
-let push_counted (t : t) sh ~bounded msg =
-  ignore (Atomic.fetch_and_add t.enqueued 1);
-  let pushed =
-    if bounded then Mpsc.try_push sh.inbox ~capacity:t.capacity msg
-    else (Mpsc.push sh.inbox msg; true)
-  in
-  if not pushed then ignore (Atomic.fetch_and_add t.enqueued (-1))
-  else if get_state sh = `Degraded then sweep_degraded t sh;
-  pushed
+(* Queue [msg] on [sh] unless the pool is stopped, the shard degraded or,
+   when [bounded], its inbox full.  The first two checks run under the
+   lock that [stop]'s marker and [degrade] take, so an accepted message is
+   never stranded behind either.  A job counts as enqueued before the
+   worker can pop it: counted after, it could run and complete first, and
+   [drain] would see its parent's share of the count as done while the
+   parent still runs. *)
+let push (t : t) sh ~bounded msg =
+  Mutex.protect sh.lock (fun () ->
+      if Atomic.get t.stopped then `Refused Stopped
+      else if Atomic.get sh.state = s_degraded then `Refused (Degraded sh.idx)
+      else if bounded && Queue.length sh.inbox >= t.capacity then `Full
+      else begin
+        ignore (Atomic.fetch_and_add t.enqueued 1);
+        enqueue sh msg;
+        `Queued
+      end)
 
 (* Admit one job to [sh]'s bounded inbox; on overflow the pool's
    backpressure policy decides. *)
@@ -493,8 +415,10 @@ let accept (t : t) sh j =
     Obs.Metrics.hit st_shed;
     Error (Overloaded sh.idx)
   in
-  if push_counted t sh ~bounded:true msg then Ok ()
-  else
+  match push t sh ~bounded:true msg with
+  | `Queued -> Ok ()
+  | `Refused e -> Error e
+  | `Full -> (
     match t.policy with
     | Shed_newest -> shed ()
     | Dead_letter ->
@@ -513,10 +437,7 @@ let accept (t : t) sh j =
         | Some c when c.c_pool == t ->
           Atomic.set t.shards.(c.c_idx).busy_since (Obs.Clock.now_ns ())
         | _ -> ());
-        if Atomic.get t.stopped then Error Stopped
-        else if get_state sh = `Degraded then Error (Degraded sh.idx)
-        else if push_counted t sh ~bounded:true msg then Ok ()
-        else if Obs.Clock.now_ns () >= deadline then shed ()
+        if Obs.Clock.now_ns () >= deadline then shed ()
         else begin
           (try
              Unix.sleepf
@@ -524,10 +445,13 @@ let accept (t : t) sh j =
                   ~rand:(fun () -> Random.float 1.)
                   attempt)
            with Unix.Unix_error _ -> ());
-          wait (attempt + 1)
+          match push t sh ~bounded:true msg with
+          | `Queued -> Ok ()
+          | `Refused e -> Error e
+          | `Full -> wait (attempt + 1)
         end
       in
-      wait 1
+      wait 1)
 
 (* The one way into a shard.  A job submitted on its own shard runs inline
    under the ambient trace; any other goes to the inbox under [trace]
@@ -547,10 +471,10 @@ let submit ?trace ?(barrier = false) t idx ~run ~abort =
       Ok ()
     | ctx ->
       if get_state sh = `Degraded then Error (Degraded idx)
-      else if barrier then begin
-        ignore (push_counted t sh ~bounded:false (Job { run; trace = 0; abort }));
-        Ok ()
-      end
+      else if barrier then
+        match push t sh ~bounded:false (Job { run; trace = 0; abort }) with
+        | `Refused e -> Error e
+        | `Queued | `Full -> Ok ()
       else begin
         (match ctx with
         | Some c when c.c_pool == t ->
@@ -563,7 +487,12 @@ let submit ?trace ?(barrier = false) t idx ~run ~abort =
       end
   end
 
-let post_on t idx run = submit t idx ~run ~abort:None
+let post_on t idx f =
+  submit t idx
+    ~run:(fun sys ->
+      f sys;
+      ignore)
+    ~abort:None
 
 (* The calling domain's shard index in [t], or -1 off the pool's shards. *)
 let self_index t =
@@ -594,7 +523,10 @@ let await (t : t) idx iv deadline_ns =
    it) landing in [iv].  A declined submission fills [iv] itself: a
    rejected job never reaches its abort. *)
 let post_into ?barrier t iv idx f =
-  let run sys = Ivar.fill iv (try Ok (f sys) with e -> Error e) in
+  let run sys =
+    let r = try Ok (f sys) with e -> Error e in
+    fun () -> Ivar.fill iv r
+  in
   let abort = Some (fun err -> Ivar.fill iv (Error (Shard_error err))) in
   match submit ?barrier t idx ~run ~abort with
   | Ok () -> ()
@@ -658,17 +590,17 @@ let ingest ?(wait = false) ?trace t events =
         let iv = if wait then Some (Ivar.create ()) else None in
         let run sys =
           let r = System.ingest sys sub in
-          (match iv with
+          (* the sub-batch transaction already rolled back: record the
+             shard failure the job boundary would have *)
+          (match r with Ok _ -> () | Error e -> note_failure t t.shards.(idx) e);
+          match iv with
+          | None -> ignore
           | Some iv ->
             let fin sealed =
               Ivar.fill iv
                 (match r with Ok _ -> sealed | Error _ -> Error (Degraded idx))
             in
-            if not (defer_durable t idx fin) then fin (Ok ())
-          | None -> ());
-          (* re-raise so the job boundary records the shard failure: the
-             sub-batch transaction already rolled back *)
-          match r with Ok _ -> () | Error e -> raise e
+            if defer_durable t idx fin then ignore else fun () -> fin (Ok ())
         in
         let abort = Option.map (fun iv e -> Ivar.fill iv (Error e)) iv in
         match submit ~trace t idx ~run ~abort with
@@ -686,7 +618,7 @@ let kill t idx = post_on t idx (fun _ -> raise Shard_kill)
 (* --- quiescence ------------------------------------------------------------ *)
 
 (* Quiescence barrier: a round submits a no-op through every live shard's
-   inbox (per-producer FIFO means it drains everything enqueued before it) —
+   inbox (a FIFO queue, so it drains everything enqueued before it) —
    to all shards at once, then waits for all of them — and then checks that
    no accepted job is still in flight: jobs spawned *by* jobs (cross-shard
    cascades) bump [enqueued] before their parent completes, and jobs the
@@ -713,13 +645,15 @@ let drain (t : t) =
 
 (* --- introspection --------------------------------------------------------- *)
 
+let depth sh = Mutex.protect sh.lock (fun () -> Queue.length sh.inbox)
+
 let stats t =
   {
     shard_processed = Array.map (fun sh -> Atomic.get sh.processed) t.shards;
     shard_failed = Array.map (fun sh -> Atomic.get sh.failed) t.shards;
     shard_state = Array.map get_state t.shards;
     shard_restarts = Array.map (fun sh -> Atomic.get sh.restarts) t.shards;
-    inbox_depth = Array.map (fun sh -> Mpsc.depth sh.inbox) t.shards;
+    inbox_depth = Array.map depth t.shards;
     forwarded = Atomic.get t.forwarded;
     enqueued = Atomic.get t.enqueued;
     completed = Atomic.get t.completed;
@@ -730,7 +664,9 @@ let stats t =
           Obs.Ring.total t.dead_letters);
     timeouts = Atomic.get t.timeouts;
     mpsc_pushes =
-      Array.fold_left (fun acc sh -> acc + Mpsc.pushes sh.inbox) 0 t.shards;
+      Array.fold_left
+        (fun acc sh -> acc + Mutex.protect sh.lock (fun () -> sh.pushes))
+        0 t.shards;
   }
 
 let recent_failures t =
@@ -757,180 +693,153 @@ let replay_dead_letters t =
     let replayed = ref 0 in
     List.iter
       (fun (idx, j) ->
-        let sh = t.shards.(idx) in
-        let back () =
-          Mutex.protect t.dead_letters_lock (fun () ->
-              Obs.Ring.push t.dead_letters (idx, j))
-        in
         (* bypass the backpressure policy: a replayed job was already
            counted (shed or discarded) when it was parked, and the
            Dead_letter policy would park a rejected replay a second time —
-           plain bounded push, back to the ring exactly once on overflow *)
-        if get_state sh = `Degraded then back ()
-        else if push_counted t sh ~bounded:true (Job j) then incr replayed
-        else back ())
+           plain bounded push, back to the ring exactly once when declined *)
+        match push t t.shards.(idx) ~bounded:true (Job j) with
+        | `Queued -> incr replayed
+        | `Full | `Refused _ ->
+          Mutex.protect t.dead_letters_lock (fun () ->
+              Obs.Ring.push t.dead_letters (idx, j)))
       entries;
     !replayed
   end
 
 (* --- worker ---------------------------------------------------------------- *)
 
-(* The worker<->supervisor handoff protocol: the worker moves messages
-   inbox -> [pending] -> [current] -> executed, with the pending/current
-   transitions made under [hand] and gated on the worker's generation.  A
-   teardown bumps the generation and claims pending + current atomically
-   under the same lock, so exactly one side owns every message: a superseded
-   worker that wakes mid-transition sees itself stale and leaves, and a live
-   one moves the inbox to [pending] under the lock, so it never holds a
-   message that is neither queued nor claimed. *)
+(* Every message is queued, in [current], or owned by exactly one side of a
+   teardown: the worker moves a message from the inbox to [current] under
+   [sh.lock], gated on its generation, and a teardown bumps the generation
+   and claims [current] under the same lock.  A superseded worker — parked,
+   or returning from a wedged job — sees itself stale at its next claim and
+   leaves without touching the inbox, which stays in place for the
+   successor. *)
 
-(* Invalidate the current worker generation and claim whatever it held.
-   After this returns the old worker (if still running) sees itself stale at
-   its next transition and exits without touching the inbox. *)
+(* Supersede the worker's generation and claim the message it held. *)
 let teardown sh =
-  Mutex.protect sh.hand (fun () ->
-      ignore (Atomic.fetch_and_add sh.generation 1);
+  Mutex.protect sh.lock (fun () ->
+      sh.generation <- sh.generation + 1;
       Atomic.set sh.alive false;
       Atomic.set sh.busy_since 0.;
       Atomic.set sh.init_failed false;
-      let cur = sh.current and rest = sh.pending in
+      let cur = sh.current in
       sh.current <- None;
-      sh.pending <- [];
-      (cur, rest))
+      Condition.broadcast sh.cond;
+      cur)
 
-let degrade t sh cur rest =
-  Atomic.set sh.state s_degraded;
+(* Reject [cur] and the backlog, and fail later pushes fast: they read the
+   state under the lock the backlog is taken under. *)
+let degrade t sh cur =
+  let backlog =
+    Mutex.protect sh.lock (fun () ->
+        Atomic.set sh.state s_degraded;
+        take_queued sh)
+  in
   Obs.Metrics.hit st_degraded;
   if !Obs.Trace.on then Obs.Trace.instant "shard.degraded" (string_of_int sh.idx);
-  let err = Degraded sh.idx in
-  (match cur with Some m -> reject t sh.idx err m | None -> ());
-  List.iter (reject t sh.idx err) rest;
-  sweep_degraded t sh
+  List.iter (reject t sh.idx (Degraded sh.idx)) (Option.to_list cur @ backlog)
 
-let claim sh ~gen =
-  Mutex.protect sh.hand (fun () ->
-      if Atomic.get sh.generation <> gen then `Stale
-      else
-        match sh.pending with
-        | m :: rest ->
-          sh.pending <- rest;
-          sh.current <- Some m;
+(* The worker's one step under the lock: retire the message it ran and take
+   the next, first parking on [cond] while the inbox is empty when [wait]. *)
+let claim sh ~gen ~wait =
+  Mutex.protect sh.lock (fun () ->
+      if wait then
+        while Queue.is_empty sh.inbox && sh.generation = gen do
+          Condition.wait sh.cond sh.lock
+        done;
+      if sh.generation <> gen then `Stale
+      else begin
+        let next = Queue.take_opt sh.inbox in
+        sh.current <- next;
+        match next with
+        | Some m ->
+          (* [busy_since] is what the wedge watchdog reads *)
+          Atomic.set sh.busy_since (Obs.Clock.now_ns ());
           `Run m
-        | [] -> `Empty)
-
-let finish sh ~gen =
-  Mutex.protect sh.hand (fun () ->
-      if Atomic.get sh.generation = gen then sh.current <- None)
+        | None ->
+          Atomic.set sh.busy_since 0.;
+          `Empty
+      end)
 
 let worker t sh ~gen ready =
-  let stale () = Atomic.get sh.generation <> gen in
+  (* read under [sh.lock] *)
+  let stale () = sh.generation <> gen in
   match t.init t sh.idx with
   | exception e ->
     note_failure t sh e;
-    Atomic.set sh.init_failed true;
-    (match ready with Some iv -> Ivar.fill iv (Error e) | None -> ());
-    Mutex.protect sh.hand (fun () ->
-        if not (stale ()) then Atomic.set sh.alive false)
+    Mutex.protect sh.lock (fun () ->
+        if not (stale ()) then Atomic.set sh.init_failed true);
+    Option.iter (fun iv -> Ivar.fill iv (Error e)) ready
   | sys ->
     Db.configure_shard (System.db sys) ~index:sh.idx ~of_:t.n;
     Domain.DLS.set current_ctx
       (Some { c_pool = t; c_idx = sh.idx; c_sys = sys });
-    Mutex.protect sh.hand (fun () ->
+    Mutex.protect sh.lock (fun () ->
         if not (stale ()) then begin
           sh.system <- Some sys;
           Atomic.set sh.alive true;
           Atomic.set sh.state s_ready
         end);
-    (match ready with Some iv -> Ivar.fill iv (Ok ()) | None -> ());
-    let outcome = ref `Abandoned in
-    (try
-       let rec loop () =
-         match claim sh ~gen with
-         | `Stale -> outcome := `Abandoned
-         | `Run Stop -> outcome := `Stopped
-         | `Run (Job j) ->
-           (* [busy_since] is what the wedge watchdog reads *)
-           Atomic.set sh.busy_since (Obs.Clock.now_ns ());
-           run_job t sh sys ~trace:j.trace j.run;
-           Atomic.set sh.busy_since 0.;
-           finish sh ~gen;
-           loop ()
-         | `Empty ->
-           (* the idle hook must only fire on a truly quiet mailbox, and a
-              loaded shard must not pay a durability point mid-run *)
-           if Mpsc.depth sh.inbox = 0 then begin
-             let sealed =
-               match t.on_idle with
-               | Some f -> (
-                 try Ok (f sh.idx sys)
-                 with e ->
-                   note_failure t sh e;
-                   Error (Degraded sh.idx))
-               | None -> Ok ()
-             in
-             (* the seal above made everything committed so far durable,
-                or failed to: release the waiters parked on it *)
-             run_deferred sealed (take_deferred sh);
-             Mpsc.await sh.inbox ~cancelled:stale
-           end;
-           let keep =
-             Mutex.protect sh.hand (fun () ->
-                 if stale () then false
-                 else begin
-                   sh.pending <- Mpsc.take_now sh.inbox;
-                   true
-                 end)
-           in
-           if keep then loop () else outcome := `Abandoned
-       in
-       loop ()
-     with
-    | Shard_kill ->
-      (* simulated domain death: [current] stays claimed — the supervisor
-         dead-letters it and replays the rest of [pending] *)
-      Atomic.set sh.busy_since 0.;
-      outcome := `Died
-    | e ->
-      (* a worker-loop failure outside any job: record it and die; the
-         supervisor treats it like a crash *)
-      note_failure t sh e;
-      Atomic.set sh.busy_since 0.;
-      outcome := `Died);
-    (match !outcome with
+    Option.iter (fun iv -> Ivar.fill iv (Ok ())) ready;
+    let rec loop ~wait =
+      match claim sh ~gen ~wait with
+      | `Stale -> `Abandoned
+      | `Run Stop -> `Stopped
+      | `Run (Job j) ->
+        run_job t sh sys ~trace:j.trace j.run;
+        loop ~wait:false
+      | `Empty ->
+        (* the idle hook fires only on an empty inbox, so a loaded shard
+           never pays a durability point mid-run *)
+        let sealed =
+          match t.on_idle with
+          | Some f -> (
+            try Ok (f sh.idx sys)
+            with e ->
+              note_failure t sh e;
+              Error (Degraded sh.idx))
+          | None -> Ok ()
+        in
+        (* the seal above made everything committed so far durable, or
+           failed to: release the waiters parked on it *)
+        run_deferred sealed (take_deferred sh);
+        loop ~wait:true
+    in
+    let outcome =
+      try loop ~wait:false with
+      | Shard_kill ->
+        (* simulated domain death: [current] stays claimed for the
+           supervisor to dead-letter; the inbox behind it stays queued *)
+        `Died
+      | e ->
+        (* a worker-loop failure outside any job: record it and die; the
+           supervisor treats it like a crash *)
+        note_failure t sh e;
+        `Died
+    in
+    let retire () =
+      Mutex.protect sh.lock (fun () ->
+          if not (stale ()) then begin
+            Atomic.set sh.busy_since 0.;
+            Atomic.set sh.alive false
+          end)
+    in
+    match outcome with
     | `Stopped ->
-      (* shutdown: discard anything behind the stop marker so synchronous
-         waiters get [Stopped] instead of blocking forever *)
-      let leftovers =
-        Mutex.protect sh.hand (fun () ->
-            if stale () then []
-            else begin
-              let p = sh.pending in
-              sh.pending <- [];
-              sh.current <- None;
-              p
-            end)
-      in
-      List.iter (discard_at_stop t) leftovers;
-      List.iter (discard_at_stop t) (Mpsc.take_now sh.inbox);
+      retire ();
       (* no seal is coming: release parked waiters rather than hang them *)
-      run_deferred (Error Stopped) (take_deferred sh);
-      Mutex.protect sh.hand (fun () ->
-          if not (stale ()) then Atomic.set sh.alive false)
+      run_deferred (Error Stopped) (take_deferred sh)
     | `Died ->
       run_deferred (Error (Degraded sh.idx)) (take_deferred sh);
-      if t.supervision = None then begin
-        (* nothing will restart this shard: degrade it now, as a restart
-           budget of 0 would, so its backlog and later sends fail typed *)
-        let cur, rest = teardown sh in
-        degrade t sh cur rest
-      end
-      else
-        Mutex.protect sh.hand (fun () ->
-            if not (stale ()) then Atomic.set sh.alive false)
-    | `Abandoned -> ())
+      (* nothing will restart an unsupervised shard: degrade it now, as a
+         restart budget of 0 would, so its backlog and later sends fail
+         typed *)
+      if t.supervision = None then degrade t sh (teardown sh) else retire ()
+    | `Abandoned -> ()
 
 let spawn_worker t sh ready =
-  let gen = Atomic.get sh.generation in
+  let gen = Mutex.protect sh.lock (fun () -> sh.generation) in
   let fin = Atomic.make false in
   let d =
     Domain.spawn (fun () ->
@@ -960,27 +869,20 @@ let restart t sup sh ~wedged =
   let window = float_of_int sup.restart_window_ms *. 1e6 in
   sh.restart_times <-
     List.filter (fun ts -> now -. ts <= window) sh.restart_times;
-  let cur, rest = teardown sh in
-  Mpsc.wake sh.inbox;
+  let cur = teardown sh in
   reap_domain t sh ~wedged;
-  if List.length sh.restart_times >= sup.max_restarts then degrade t sh cur rest
+  if List.length sh.restart_times >= sup.max_restarts then degrade t sh cur
   else begin
     sh.restart_times <- now :: sh.restart_times;
     ignore (Atomic.fetch_and_add sh.restarts 1);
     Obs.Metrics.hit st_restart;
     if !Obs.Trace.on then
       Obs.Trace.instant "shard.restart" (string_of_int sh.idx);
-    Atomic.set sh.state s_restarting;
-    (* preserve arrival order: claimed-but-unstarted messages go back ahead
-       of what queued behind them while the shard was down *)
-    let queued = Mpsc.take_now sh.inbox in
-    List.iter (Mpsc.push sh.inbox) (rest @ queued);
+    Mutex.protect sh.lock (fun () -> Atomic.set sh.state s_restarting);
     (* the in-flight message crashed or wedged this shard: dead-letter it
-       rather than replay it into the fresh engine *)
-    (match cur with
-    | Some (Job _ as m) -> reject t sh.idx (Dead_lettered sh.idx) m
-    | Some Stop -> Mpsc.push sh.inbox Stop
-    | None -> ());
+       rather than replay it into the fresh engine; the messages behind it
+       are still queued, in arrival order, for the successor *)
+    Option.iter (reject t sh.idx (Dead_lettered sh.idx)) cur;
     spawn_worker t sh None
   end
 
@@ -1024,7 +926,7 @@ let supervise t sup =
           check_shard t sup sh t0;
           if !Obs.Metrics.on then
             Obs.Metrics.observe_ns st_inbox_depth
-              (float_of_int (Mpsc.depth sh.inbox)))
+              (float_of_int (depth sh)))
         t.shards;
       if !Obs.Metrics.on then
         Obs.Metrics.observe_ns st_supervise (Obs.Clock.now_ns () -. t0);
@@ -1051,11 +953,10 @@ let stop t =
       Domain.join d;
       t.supervisor <- None
     | None -> ());
+    (* the marker lands behind every accepted job: [push] refuses jobs
+       from here on *)
     Array.iter
-      (fun sh ->
-        match sh.domain with
-        | Some _ -> Mpsc.push sh.inbox Stop
-        | None -> ())
+      (fun sh -> Mutex.protect sh.lock (fun () -> enqueue sh Stop))
       t.shards;
     Array.iter
       (fun sh ->
@@ -1065,10 +966,12 @@ let stop t =
           sh.domain <- None
         | None -> ())
       t.shards;
-    (* degraded shards have no worker; make their typed errors visible to
-       any waiter that raced the degrade *)
+    (* a shard whose worker died with no restart to follow left its
+       backlog queued: wake those waiters with [Stopped] *)
     Array.iter
-      (fun sh -> List.iter (discard_at_stop t) (Mpsc.take_now sh.inbox))
+      (fun sh ->
+        List.iter (discard_at_stop t)
+          (Mutex.protect sh.lock (fun () -> take_queued sh)))
       t.shards;
     (* abandoned wedged domains: join the ones whose poisoned job has since
        returned; a genuinely infinite job leaks its domain (documented) *)
@@ -1081,7 +984,7 @@ let stop t =
     List.iter (fun (d, fin) -> if Atomic.get fin then Domain.join d) zs
   end
 
-let create ?on_failure ?on_idle ?(failure_log_limit = 128)
+let create ?on_idle ?(failure_log_limit = 128)
     ?(dead_letter_limit = 256) ?(inbox_capacity = 4096)
     ?(backpressure = Block { max_wait_ms = 1_000 }) ?supervision ~shards:n
     ~init () =
@@ -1099,7 +1002,13 @@ let create ?on_failure ?on_idle ?(failure_log_limit = 128)
         Array.init n (fun idx ->
             {
               idx;
-              inbox = Mpsc.create ();
+              lock = Mutex.create ();
+              cond = Condition.create ();
+              inbox = Queue.create ();
+              current = None;
+              deferred = [];
+              pushes = 0;
+              generation = 0;
               system = None;
               domain = None;
               processed = Atomic.make 0;
@@ -1107,11 +1016,6 @@ let create ?on_failure ?on_idle ?(failure_log_limit = 128)
               state = Atomic.make s_ready;
               alive = Atomic.make false;
               init_failed = Atomic.make false;
-              generation = Atomic.make 0;
-              hand = Mutex.create ();
-              pending = [];
-              current = None;
-              deferred = [];
               busy_since = Atomic.make 0.;
               restarts = Atomic.make 0;
               restart_times = [];
@@ -1132,7 +1036,6 @@ let create ?on_failure ?on_idle ?(failure_log_limit = 128)
       on_idle;
       dead_letters = Obs.Ring.create (max 1 dead_letter_limit);
       dead_letters_lock = Mutex.create ();
-      on_failure;
       stopped = Atomic.make false;
       supervisor = None;
       supervisor_stop = Atomic.make false;

@@ -5,7 +5,7 @@
     extents, WAL, detector state and scheduler — owned by one OCaml 5
     domain.  Shards share nothing stateful except the (domain-safe) symbol
     table and Obs layer; they cooperate by exchanging jobs over per-shard
-    bounded MPSC mailboxes.
+    bounded mailboxes, each one FIFO queue under one lock.
 
     {2 The routing invariant}
 
@@ -23,8 +23,8 @@
     (normal nested-send cascade semantics); to a sibling it is forwarded as
     a message carrying the current trace id, so a cascade keeps one trace
     across the hop ({!Obs.Trace.with_trace} on the receiving side).  A job
-    that raises is contained at the job boundary — counted, logged to a
-    bounded failure ring, reported to [on_failure] — and the shard keeps
+    that raises is contained at the job boundary — counted and logged to
+    a bounded failure ring ({!recent_failures}) — and the shard keeps
     consuming; one shard's poison rule cannot poison a sibling.  (Failures
     {e inside} a firing are still governed by each rule's
     {!Error_policy} exactly as in the single-domain engine.)
@@ -42,9 +42,10 @@
     {!type:error} instead of raising or silently queueing when it cannot be
     accepted:
 
-    - {!Stopped} — the pool is stopped or stopping.  Jobs already queued
-      ahead of the internal stop marker still run; jobs behind it are
-      discarded with their waiters woken ([Error (Shard_error Stopped)]).
+    - {!Stopped} — the pool is stopped or stopping.  Jobs accepted before
+      {!stop} queued its internal stop marker still run; later submissions
+      are refused, and jobs a dead shard left queued are discarded with
+      their waiters woken ([Error (Shard_error Stopped)]).
     - [Degraded i] — shard [i] exhausted its restart budget; sends to it
       fail fast until {!reinstate}.
     - [Overloaded i] — the bounded inbox was full and the policy shed the
@@ -71,8 +72,8 @@
     [init] is where per-shard {!Oodb.Wal.recover} belongs, so every
     acknowledged commit survives.  The message that was executing when the
     shard went down is dead-lettered (replaying it would take down the
-    successor); claimed-but-unstarted messages are replayed in order ahead
-    of the queue.  More than [max_restarts] restarts inside
+    successor); the messages queued behind it stay queued and run on the
+    successor in arrival order.  More than [max_restarts] restarts inside
     [restart_window_ms] degrade the shard: its backlog is dead-lettered
     with waiters woken, and sends fail fast with [Degraded] until
     {!reinstate}.
@@ -163,14 +164,13 @@ type stats = {
           missed the deadline *)
   mpsc_pushes : int;
       (** successful mailbox pushes, pool-wide: one per queued job, plus
-          the pool's own control messages (drain barriers, stop markers,
-          restart requeues).  {!ingest} ships one job per destination shard
-          however many events it carries, so events ingested per push
-          measures cross-shard message coalescing. *)
+          the pool's own control messages (drain barriers, stop markers).
+          {!ingest} ships one job per destination shard however many
+          events it carries, so events ingested per push measures
+          cross-shard message coalescing. *)
 }
 
 val create :
-  ?on_failure:(shard:int -> exn -> unit) ->
   ?on_idle:(int -> System.t -> unit) ->
   ?failure_log_limit:int ->
   ?dead_letter_limit:int ->
@@ -291,9 +291,9 @@ val drain : t -> unit
 val kill : t -> int -> (unit, error) result
 (** Chaos injection: post a job that dies mid-batch, simulating the shard
     domain crashing.  The worker loop unwinds exactly like a crash — the
-    in-flight message stays claimed for the supervisor to dead-letter, the
-    rest of the batch is replayed.  Without supervision the shard
-    degrades (see Supervision). *)
+    in-flight message stays claimed for the supervisor to dead-letter, and
+    the messages queued behind it run on the successor.  Without
+    supervision the shard degrades (see Supervision). *)
 
 val reinstate : t -> int -> unit
 (** Ask the supervisor to clear a degraded shard's restart budget and
@@ -328,8 +328,9 @@ val system : t -> int -> System.t
 
 val stop : t -> unit
 (** Stop the supervisor, then the workers, and join their domains.  Jobs
-    already queued ahead of the stop marker still run; jobs behind it are
-    discarded with waiters woken ([Stopped]) — {!drain} first for a clean
-    shutdown.  Abandoned wedged domains are joined if their poisoned job
-    has returned, leaked otherwise.  Idempotent.  The pool rejects new
-    submissions with [Error Stopped] afterwards. *)
+    accepted before the stop marker was queued still run on a live shard;
+    a dead shard's backlog is discarded with waiters woken ([Stopped]) —
+    {!drain} first for a clean shutdown.  Abandoned wedged domains are
+    joined if their poisoned job has returned, leaked otherwise.
+    Idempotent.  The pool rejects new submissions with [Error Stopped]
+    afterwards. *)

@@ -259,7 +259,8 @@ let test_flood_shed_newest () =
       while not (Atomic.get gate) do
         Domain.cpu_relax ()
       done);
-  (* the flood must land in the inbox, not in the worker's claimed batch *)
+  (* the flood must fill the inbox behind the running gate job, not share
+     the inbox with it *)
   wait_for "the gate job started" (fun () -> Atomic.get started);
   let ran = Atomic.make 0 in
   let accepted = ref 0 and shed = ref 0 in
@@ -521,6 +522,90 @@ let test_unsupervised_kill_degrades () =
     (st.Shard_pool.completed + st.Shard_pool.discarded);
   Shard_pool.stop pool
 
+(* Several domains post to shard 0, some of them waiting on their job,
+   while an unsupervised kill degrades it: every submission is accepted or
+   refused as degraded, every waiter is answered, and no accepted job is
+   stranded in the dead shard's inbox.  A push that lands behind the degrade
+   is rare in any one round, so the race runs several rounds. *)
+let test_posts_race_degrade () =
+  let n_producers = 3 in
+  let round r =
+    let pool =
+      flood_pool (Shard_pool.Block { max_wait_ms = 10_000 }) ~capacity:4096
+    in
+    let go = Atomic.make false in
+    let accepted = Array.init n_producers (fun _ -> Atomic.make 0) in
+    (* each producer runs until the degrade has refused it 100 times, so
+       its submissions straddle the degrade *)
+    let producer p =
+      Domain.spawn (fun () ->
+          while not (Atomic.get go) do
+            Domain.cpu_relax ()
+          done;
+          let refused = ref 0 and wrong = ref [] in
+          let k = ref 0 in
+          while !refused < 100 && !k < 1_000_000 do
+            incr k;
+            let outcome =
+              if !k mod 16 = 0 then
+                match
+                  Shard_pool.run_on ~timeout_ms:10_000 pool 0 (fun _ -> ())
+                with
+                | Ok () -> `Accepted
+                | Error (Shard_pool.Shard_error (Shard_pool.Degraded 0)) ->
+                  `Refused
+                | Error e -> `Wrong (Printexc.to_string e)
+              else
+                match Shard_pool.post_on pool 0 (fun _ -> ()) with
+                | Ok () -> `Accepted
+                | Error (Shard_pool.Degraded 0) -> `Refused
+                | Error e -> `Wrong (Shard_pool.error_to_string e)
+            in
+            match outcome with
+            | `Accepted -> Atomic.incr accepted.(p)
+            | `Refused -> incr refused
+            | `Wrong e -> wrong := e :: !wrong
+          done;
+          (!refused, !wrong))
+    in
+    let producers = List.init n_producers producer in
+    Atomic.set go true;
+    wait_for "every producer under way" (fun () ->
+        Array.for_all (fun a -> Atomic.get a >= 100) accepted);
+    ok_or_raise (Shard_pool.kill pool 0);
+    List.iteri
+      (fun p d ->
+        let refused, wrong = Domain.join d in
+        Alcotest.(check (list string))
+          (Printf.sprintf "round %d, producer %d: only Ok or Degraded 0" r p)
+          [] wrong;
+        Alcotest.(check bool)
+          (Printf.sprintf "round %d, producer %d refused after the degrade" r p)
+          true (refused > 0))
+      producers;
+    Alcotest.(check string) "shard 0 degraded" "degraded"
+      (Shard_pool.state_to_string (Shard_pool.shard_state pool 0));
+    (* every producer has returned and shard 1 was never used, so nothing
+       is in flight: a job queued behind the degrade shows here (and would
+       hold [drain] for ever) *)
+    let books () =
+      let st = Shard_pool.stats pool in
+      (st.Shard_pool.enqueued, st.Shard_pool.completed + st.Shard_pool.discarded)
+    in
+    let enqueued, finished = books () in
+    Alcotest.(check int)
+      (Printf.sprintf "round %d: completed + discarded = enqueued" r)
+      enqueued finished;
+    Shard_pool.drain pool;
+    let enqueued, finished = books () in
+    Alcotest.(check int) "after drain: completed + discarded = enqueued"
+      enqueued finished;
+    Shard_pool.stop pool
+  in
+  for r = 1 to 10 do
+    round r
+  done
+
 let test_drain_after_stop () =
   let pool = flood_pool Shard_pool.Shed_newest ~capacity:8 in
   post_on_exn pool 1 (fun _ -> ());
@@ -554,4 +639,6 @@ let suite =
       test_each_skips_degraded;
     test "unsupervised: a killed shard degrades" test_unsupervised_kill_degrades;
     test "drain on a stopped pool returns" test_drain_after_stop;
+    test "unsupervised: posts racing a degrade are answered typed"
+      test_posts_race_degrade;
   ]

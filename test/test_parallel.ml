@@ -394,6 +394,27 @@ let test_drain_with_cascades () =
       Alcotest.(check int) "nothing in flight" st.Shard_pool.enqueued
         (st.Shard_pool.completed + st.Shard_pool.discarded))
 
+(* A synchronous [run_on] counts its job before it releases the caller, so
+   on an otherwise idle pool the books balance the moment it returns. *)
+let test_run_on_counted_before_reply () =
+  let pool = plain_pool 2 in
+  Fun.protect
+    ~finally:(fun () -> Shard_pool.stop pool)
+    (fun () ->
+      let unbalanced = ref 0 in
+      for k = 1 to 20_000 do
+        (match Shard_pool.run_on pool (k mod 2) (fun _ -> ()) with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "run_on: %s" (Printexc.to_string e));
+        let st = Shard_pool.stats pool in
+        if
+          st.Shard_pool.completed + st.Shard_pool.discarded
+          <> st.Shard_pool.enqueued
+        then incr unbalanced
+      done;
+      Alcotest.(check int) "stats read unbalanced right after run_on" 0
+        !unbalanced)
+
 let suite =
   [
     intern_prop;
@@ -407,4 +428,6 @@ let suite =
     test "each inside a shard job runs that shard inline"
       test_each_from_inside_shard;
     test "drain waits out cross-shard cascades" test_drain_with_cascades;
+    test "run_on is counted before its caller resumes"
+      test_run_on_counted_before_reply;
   ]
